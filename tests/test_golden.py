@@ -1,0 +1,93 @@
+"""Byte-for-byte comparison of CLI datasets against committed golden files.
+
+Every case runs one argv through ``tdsim.cli.main`` in-process and compares
+the written dataset with ``tests/golden/<name>``.  The goldens pin the
+output contract: for the same configuration and seed the CLI writes the
+same bytes, so a refactor that changes any of them changes behaviour.
+
+A deliberate contract change regenerates the files from the repository
+root and records why in CHANGES.md:
+
+    PYTHONPATH=src python -c "
+    from tests.test_golden import CASES, GOLDEN
+    from tdsim.cli import main
+    for name, argv in CASES.items():
+        main(argv + ['--out', str(GOLDEN / name)])
+    "
+"""
+from pathlib import Path
+
+import pytest
+
+from tdsim.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+CASES = {
+    "simulate_k3_thin1.csv": [
+        "simulate", "--J", "2.0", "--delta", "0.3", "--N", "50", "--t-end", "1",
+        "--seed", "7", "--x0", "0.8,0.2,0.5", "--thinning", "1",
+    ],
+    "simulate_k3_N2000.json": [
+        "simulate", "--J", "1.0", "--delta", "0.3", "--kappa", "0.5", "--N", "2000",
+        "--t-end", "0.5", "--seed", "11", "--format", "json",
+    ],
+    "simulate_k5.csv": [
+        "simulate", "--k", "5", "--J", "0.8", "--delta", "0.6", "--N", "30",
+        "--t-end", "1", "--seed", "3", "--x0", "0.2,0.4,0.5,0.6,0.8",
+    ],
+    "simulate_k2.csv": [
+        "simulate", "--k", "2", "--J", "-1.5", "--delta", "0.25", "--kappa", "0.3,-0.2",
+        "--N", "40", "--t-end", "1", "--seed", "5", "--x0", "0.3,0.7",
+    ],
+    "simulate_micro_k3.csv": [
+        "simulate", "--level", "micro", "--J", "2.0", "--delta", "1.0", "--N", "20",
+        "--t-end", "0.5", "--seed", "5",
+    ],
+    "simulate_micro_k4.csv": [
+        "simulate", "--level", "micro", "--k", "4", "--J", "1.3", "--delta", "0.2",
+        "--N", "15", "--t-end", "0.5", "--seed", "9", "--x0", "0.2,0.4,0.6,0.8",
+    ],
+    "ode_rk4.csv": [
+        "ode", "--method", "rk4", "--step", "0.02", "--J", "2.5", "--delta", "0",
+        "--t-end", "2", "--x0", "0.55,0.5,0.45",
+    ],
+    "ode_rk45_sampled.csv": [
+        "ode", "--J", "1.0", "--delta", "0.3", "--t-end", "5", "--x0", "0.8,0.2,0.5",
+        "--sample-dt", "0.1",
+    ],
+    "ode_k4.csv": [
+        "ode", "--k", "4", "--J", "1.2", "--delta", "0.4", "--t-end", "2",
+        "--x0", "0.9,0.1,0.6,0.3",
+    ],
+    "bifurcate_delta0.csv": [
+        "bifurcate", "--delta", "0", "--grid=-1.5:2.3:0.2",
+    ],
+    "bifurcate_delta_half.csv": [
+        "bifurcate", "--delta", "0.5", "--grid=-1.5:2.5:1",
+    ],
+    "bifurcate_delta03.json": [
+        "bifurcate", "--delta", "0.3", "--grid=-2:2.5:1.5", "--format", "json",
+    ],
+    "converge.csv": [
+        "converge", "--J", "1", "--delta", "0.3", "--kappa", "0.5", "--N", "50",
+        "--N", "500", "--replicas", "4", "--t-end", "1", "--seed", "8",
+        "--x0", "0.8,0.2,0.5",
+    ],
+    "validate_N2.csv": [
+        "validate", "--J", "1.2", "--delta", "0.3", "--N", "2", "--seed", "2",
+    ],
+    "validate_N4.csv": [
+        "validate", "--J", "-1.4", "--delta", "0.7", "--N", "4", "--seed", "3",
+    ],
+    "validate_N20.csv": [
+        "validate", "--J", "2.5", "--delta", "0.1", "--N", "20", "--seed", "4",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_dataset_matches_golden(name, tmp_path, capsys):
+    out = tmp_path / name
+    assert main(CASES[name] + ["--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()
