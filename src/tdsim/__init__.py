@@ -33,15 +33,7 @@ from .micro import (
     micro_simulate,
     reversibility_residual,
 )
-from .model import (
-    DensityState,
-    JumpDirection,
-    LoopSpec,
-    flip_rates,
-    jacobian,
-    jump_rate,
-    vector_field,
-)
+from .model import DensityState, LoopSpec, channel_rates, jacobian, vector_field
 from .ode import IntegratorSettings, integrate, integrate_linear
 from .trajectory import Trajectory
 
@@ -51,7 +43,6 @@ __all__ = [
     "__version__",
     "LoopSpec",
     "DensityState",
-    "JumpDirection",
     "SpinConfiguration",
     "EnergyDelta",
     "Trajectory",
@@ -60,8 +51,7 @@ __all__ = [
     "ConvergenceRow",
     "ConvergenceResult",
     "IntegratorSettings",
-    "flip_rates",
-    "jump_rate",
+    "channel_rates",
     "vector_field",
     "jacobian",
     "hamiltonian",

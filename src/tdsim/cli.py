@@ -6,9 +6,10 @@ lines carrying the full configuration, then one row per record) or JSON
 Floats are serialized with shortest round-trip precision, so a rerun with
 the same configuration and seed reproduces the file byte for byte.
 
-Exit codes: 0 success, 1 runtime or check failure, 2 configuration error.
-The TDSIM_THREADS environment variable caps worker processes for replica
-sweeps (default 1).
+Exit codes: 0 success, 1 runtime or check failure, 2 configuration error
+(the message names the offending field).  The TDSIM_THREADS environment
+variable sets the worker processes of ``converge`` (an integer >= 1,
+default 1); no other module reads it.
 """
 from __future__ import annotations
 
@@ -23,6 +24,10 @@ import numpy as np
 
 from . import __version__, analysis, jump, micro, ode
 from .model import DensityState, LoopSpec
+
+
+# Largest number of points a start:stop:step grid may expand to.
+MAX_GRID_POINTS = 10_000
 
 
 class ConfigError(ValueError):
@@ -42,7 +47,10 @@ def _parse_grid(text: str) -> list[float]:
             raise ConfigError(f"grid: {exc}") from None
         if step <= 0 or not all(map(math.isfinite, (start, stop, step))):
             raise ConfigError("grid: step must be positive and bounds finite")
-        count = int(math.floor((stop - start) / step + 1e-9)) + 1
+        span = (stop - start) / step + 1e-9
+        if span >= MAX_GRID_POINTS:
+            raise ConfigError(f"grid: more than {MAX_GRID_POINTS} points")
+        count = int(math.floor(span)) + 1
         values = [round(start + i * step, 12) for i in range(count)]
     else:
         try:
@@ -86,6 +94,23 @@ def _build_spec(args) -> LoopSpec:
         return LoopSpec(J=args.J, delta=args.delta, kappa=kappa, N=args.N, k=args.k)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+
+
+def _check_t_end(t_end: float):
+    if not (math.isfinite(t_end) and t_end >= 0):
+        raise ConfigError("t-end: must be finite and non-negative")
+
+
+def _workers() -> int:
+    """Worker processes from TDSIM_THREADS (default 1)."""
+    raw = os.environ.get("TDSIM_THREADS", "1")
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ConfigError(f"TDSIM_THREADS: expected an integer >= 1, got {raw!r}")
+    return workers
 
 
 def _resolve_seed(args) -> int:
@@ -186,8 +211,9 @@ def _common_config(args, spec: LoopSpec, **extra) -> dict:
 
 def cmd_simulate(args) -> int:
     spec = _build_spec(args)
-    if args.t_end < 0 or not math.isfinite(args.t_end):
-        raise ConfigError("t-end: must be finite and non-negative")
+    _check_t_end(args.t_end)
+    if args.thinning is not None and args.thinning < 1:
+        raise ConfigError("thinning: must be >= 1")
     seed = _resolve_seed(args)
     x0 = _parse_x0(args.x0, spec.k)
     counts = [int(round(v * spec.N)) for v in x0]
@@ -208,8 +234,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_ode(args) -> int:
     spec = _build_spec(args)
-    if args.t_end < 0 or not math.isfinite(args.t_end):
-        raise ConfigError("t-end: must be finite and non-negative")
+    _check_t_end(args.t_end)
     x0 = _parse_x0(args.x0, spec.k)
     try:
         settings = ode.IntegratorSettings(
@@ -271,11 +296,12 @@ def cmd_converge(args) -> int:
         raise ConfigError("N: at least one reservoir size is required")
     if args.replicas < 1:
         raise ConfigError("replicas: must be >= 1")
+    _check_t_end(args.t_end)
+    workers = _workers()
     seed = _resolve_seed(args)
     args.N = args.N_list[0]  # base spec; the sweep replaces N per entry
     base = _build_spec(args)
     x0 = _parse_x0(args.x0, base.k)
-    workers = int(os.environ.get("TDSIM_THREADS", "1"))
     result = analysis.convergence_experiment(
         base, args.N_list, np.array(x0), args.t_end, args.replicas, seed,
         workers=workers,

@@ -2,11 +2,15 @@
 
 The density vector jumps by +/- 1/N in one coordinate at a time; at state x
 the jump along sign*e_i fires at rate N * beta(x) with beta from
-:func:`tdsim.model.jump_rate`.  The simulator is the direct stochastic
+:func:`tdsim.model.channel_rates`.  The simulator is the direct stochastic
 simulation algorithm: sample an exponential waiting time at the total rate,
 then pick the channel in proportion to its rate.  This generates the same
 process law as the random-time-change construction with one Poisson clock
 per jump direction; the direct method is simply the cheaper sampler.
+
+:func:`direct_step` is the one count-level step for any k, shared with the
+per-site sampler in :mod:`tdsim.micro`; three types take an unrolled loop
+with the same law and stream use, the hot path of ensemble runs.
 
 Randomness: each run owns a PCG64 generator seeded through
 ``numpy.random.SeedSequence(seed)``.  Ensemble helpers derive per-replica
@@ -23,16 +27,12 @@ import numpy as np
 from .model import DensityState, LoopSpec
 from .trajectory import Trajectory
 
-__all__ = ["ssa_simulate", "sup_distance", "derive_seed"]
+__all__ = ["ssa_simulate", "sup_distance", "derive_seed", "direct_step"]
 
 # RNG variates are drawn in blocks; the first block is small so that short
 # runs do not pay for a full refill.
 _BATCH = 8192
 _FIRST_BATCH = 256
-
-
-class AbsorbingStateError(RuntimeError):
-    """Raised if the total jump rate vanishes (impossible for finite parameters)."""
 
 
 def default_thinning(N: int) -> int:
@@ -46,16 +46,47 @@ def derive_seed(seed: int, param_index: int, replica_index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _simulate_counts_generic(spec, n, t_end, rng, stride):
-    """Direct-method loop for any k.  Returns (times, count tuples, events)."""
-    k = spec.k
+def direct_step(spec: LoopSpec):
+    """Direct-method step on counts: (n, e, u) -> (e / total rate, channel).
+
+    e is a standard exponential and u a uniform variate; the channel (in
+    :func:`tdsim.model.channel_rates` order, rate N * beta_l(n / N)) is the
+    first whose cumulative rate exceeds u * total.  The total is at least
+    N e^{-MAX_EXPONENT} > 0, so it never vanishes.
+    """
     N = spec.N
-    a_idx = [spec.anticlockwise(i) for i in range(k)]
-    h_idx = [spec.clockwise(i) for i in range(k)]
-    kap = list(spec.kappa)
     dJ = spec.delta * spec.J
     hJ = (1.0 - spec.delta) * spec.J
+    types = tuple(
+        (i, spec.anticlockwise(i), spec.clockwise(i), kap) for i, kap in enumerate(spec.kappa)
+    )
+    last = 2 * spec.k - 1
+    rates = [0.0] * (2 * spec.k)
     exp = math.exp
+
+    def step(n, e, u):
+        tot = 0.0
+        for i, a, h, kap in types:
+            expo = 2.0 * (-dJ * (n[a] / N) - hJ * (n[h] / N) + kap)
+            r_up = (N - n[i]) * exp(expo)
+            r_dn = n[i] * exp(-expo)
+            rates[2 * i] = r_up
+            rates[2 * i + 1] = r_dn
+            tot += r_up + r_dn
+        target = u * tot
+        acc = 0.0
+        for c, r in enumerate(rates):
+            acc += r
+            if target < acc:
+                return e / tot, c
+        return e / tot, last
+
+    return step
+
+
+def _simulate_counts_generic(spec, n, t_end, rng, stride):
+    """Direct-method loop for any k.  Returns (times, count tuples, events)."""
+    step = direct_step(spec)
     exps = rng.standard_exponential(_FIRST_BATCH).tolist()
     unis = rng.random(_FIRST_BATCH).tolist()
     batch = _FIRST_BATCH
@@ -64,35 +95,17 @@ def _simulate_counts_generic(spec, n, t_end, rng, stride):
     states = [tuple(n)]
     t = 0.0
     event = 0
-    rates = [0.0] * (2 * k)
     while True:
-        tot = 0.0
-        for i in range(k):
-            e = 2.0 * (-dJ * (n[a_idx[i]] / N) - hJ * (n[h_idx[i]] / N) + kap[i])
-            r_up = (N - n[i]) * exp(e)
-            r_dn = n[i] * exp(-e)
-            rates[2 * i] = r_up
-            rates[2 * i + 1] = r_dn
-            tot += r_up + r_dn
-        if tot <= 0.0:
-            raise AbsorbingStateError(f"total jump rate vanished at t={t}")
         if cursor >= batch:
             batch = _BATCH
             exps = rng.standard_exponential(batch).tolist()
             unis = rng.random(batch).tolist()
             cursor = 0
-        t_next = t + exps[cursor] / tot
+        dt, chosen = step(n, exps[cursor], unis[cursor])
+        t_next = t + dt
         if t_next >= t_end:
             break
-        target = unis[cursor] * tot
         cursor += 1
-        acc = 0.0
-        chosen = 2 * k - 1
-        for c in range(2 * k):
-            acc += rates[c]
-            if target < acc:
-                chosen = c
-                break
         n[chosen >> 1] += 1 if (chosen & 1) == 0 else -1
         t = t_next
         event += 1
@@ -130,8 +143,6 @@ def _simulate_counts_3(spec, n, t_end, rng, stride):
         u2 = (N - n2) * exp(e2)
         d2 = n2 * exp(-e2)
         tot = u0 + d0 + u1 + d1 + u2 + d2
-        if tot <= 0.0:
-            raise AbsorbingStateError(f"total jump rate vanished at t={t}")
         if cursor >= batch:
             batch = _BATCH
             exps = rng.standard_exponential(batch).tolist()

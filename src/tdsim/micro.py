@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import LoopSpec
+from . import jump
+from .model import LoopSpec, _exponents, channel_rates
 from .trajectory import Trajectory
 
 __all__ = [
@@ -121,13 +122,8 @@ def hamiltonian(config: SpinConfiguration) -> float:
     ordered site pairs of the coupling table divided by N.  The kappa part
     is the constant -N * sum(kappa).
     """
-    spec = config.spec
-    _require_clock(spec)
-    n = config.counts().astype(float)
-    s = 2.0 * n - spec.N  # per-type spin sums
-    a_idx, h_idx = spec.neighbour_indices
-    coupling = float(np.sum(n * (spec.delta * s[h_idx] + (1.0 - spec.delta) * s[a_idx])))
-    return (spec.J / spec.N) * coupling - spec.N * float(np.sum(spec.kappa))
+    _require_clock(config.spec)
+    return float(_energy(config.spec, config.counts()))
 
 
 def energy_deltas(
@@ -171,12 +167,13 @@ def _config_counts(spec: LoopSpec, idx: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _energies_by_index(spec: LoopSpec, idx: np.ndarray) -> np.ndarray:
-    counts = _config_counts(spec, idx).astype(float)
-    s = 2.0 * counts - spec.N
+def _energy(spec: LoopSpec, counts) -> np.ndarray:
+    """Energy from per-type +1 counts (types on the last axis)."""
+    n = np.asarray(counts, dtype=float)
+    s = 2.0 * n - spec.N  # per-type spin sums
     a_idx, h_idx = spec.neighbour_indices
     coupling = np.sum(
-        counts * (spec.delta * s[:, h_idx] + (1.0 - spec.delta) * s[:, a_idx]), axis=1
+        n * (spec.delta * s[..., h_idx] + (1.0 - spec.delta) * s[..., a_idx]), axis=-1
     )
     return (spec.J / spec.N) * coupling - spec.N * float(np.sum(spec.kappa))
 
@@ -190,20 +187,16 @@ def gibbs_measure(spec: LoopSpec) -> np.ndarray:
     _require_clock(spec)
     _require_enumerable(spec)
     idx = np.arange(1 << (spec.k * spec.N), dtype=np.int64)
-    h = _energies_by_index(spec, idx)
+    h = _energy(spec, _config_counts(spec, idx))
     w = np.exp(-(h - np.min(h)))
     return w / np.sum(w)
 
 
-def _site_flip_exponents(spec: LoopSpec, counts: np.ndarray) -> np.ndarray:
-    """Rate exponent E_i per type for configurations with given counts."""
-    a_idx, h_idx = spec.neighbour_indices
-    kappa = np.asarray(spec.kappa)
-    return 2.0 * (
-        -spec.delta * spec.J * counts[:, a_idx] / spec.N
-        - (1.0 - spec.delta) * spec.J * counts[:, h_idx] / spec.N
-        + kappa
-    )
+def _site_rates(spec: LoopSpec):
+    """Configuration indices and the per-type (up, down) site flip rates there."""
+    idx = np.arange(1 << (spec.k * spec.N), dtype=np.int64)
+    expo = _exponents(spec, _config_counts(spec, idx) / spec.N)
+    return idx, np.exp(expo), np.exp(-expo)
 
 
 def generator_matrix(spec: LoopSpec) -> np.ndarray:
@@ -214,21 +207,12 @@ def generator_matrix(spec: LoopSpec) -> np.ndarray:
     grows as 4^(kN); meant for desk-scale verification.
     """
     _require_enumerable(spec)
-    kn = spec.k * spec.N
-    size = 1 << kn
-    idx = np.arange(size, dtype=np.int64)
-    counts = _config_counts(spec, idx)
-    expo = _site_flip_exponents(spec, counts.astype(float))
-    q = np.zeros((size, size))
+    idx, up, down = _site_rates(spec)
+    q = np.zeros((len(idx), len(idx)))
     for i in range(spec.k):
-        up = np.exp(expo[:, i])
-        down = np.exp(-expo[:, i])
         for pos in range(spec.N):
             bit = 1 << (i * spec.N + pos)
-            is_plus = (idx & bit) != 0
-            targets = idx ^ bit
-            rates = np.where(is_plus, down, up)
-            q[idx, targets] = rates
+            q[idx, idx ^ bit] = np.where((idx & bit) != 0, down[:, i], up[:, i])
     np.fill_diagonal(q, 0.0)
     np.fill_diagonal(q, -q.sum(axis=1))
     return q
@@ -240,8 +224,6 @@ def density_generator(spec: LoopSpec) -> np.ndarray:
     States are count vectors ordered lexicographically; the rate from n to
     n +/- e_i is N * beta for the matching jump direction.
     """
-    from .model import channel_rates
-
     N = spec.N
     k = spec.k
     shape = (N + 1,) * k
@@ -285,9 +267,7 @@ def lumped_density_generator(spec: LoopSpec, tol: float = 1e-9) -> np.ndarray:
         per_config[c] = np.bincount(class_of, weights=q[c], minlength=nclasses)
     lumped = np.zeros((nclasses, nclasses))
     for cls in range(nclasses):
-        members = np.flatnonzero(class_of == cls)
-        if len(members) == 0:
-            continue
+        members = np.flatnonzero(class_of == cls)  # never empty: C(N, n_i) >= 1
         rows = per_config[members]
         if np.max(np.abs(rows - rows[0])) > tol:
             raise AssertionError(f"count class {cls} is not lumpable to {tol}")
@@ -304,21 +284,17 @@ def reversibility_residual(spec: LoopSpec) -> float:
     _require_clock(spec)
     _require_enumerable(spec)
     mu = gibbs_measure(spec)
-    idx = np.arange(1 << (spec.k * spec.N), dtype=np.int64)
-    counts = _config_counts(spec, idx)
-    expo = _site_flip_exponents(spec, counts.astype(float))
+    idx, up, down = _site_rates(spec)
     worst = 0.0
     for i in range(spec.k):
-        up = np.exp(expo[:, i])
-        down = np.exp(-expo[:, i])
         for pos in range(spec.N):
             bit = 1 << (i * spec.N + pos)
             minus = idx[(idx & bit) == 0]
             plus = minus ^ bit
             # Flipping -1 -> +1 does not change neighbour counts, so the
             # reverse rate is the down rate at the same exponent.
-            forward = mu[minus] * up[minus]
-            backward = mu[plus] * down[minus]
+            forward = mu[minus] * up[minus, i]
+            backward = mu[plus] * down[minus, i]
             worst = max(worst, float(np.max(np.abs(forward - backward))))
     return worst
 
@@ -334,49 +310,28 @@ def micro_simulate(
     Every event flips one site; the returned trajectory is the projected
     density path (counts / N) with every event recorded.  The per-type
     aggregate flip rates equal N * beta of the density process, so the
-    projection has the density process law.
+    event type comes from :func:`tdsim.jump.direct_step` and only the
+    flipped site is drawn here; the projection has the density process law.
     """
     if sigma0.spec != spec:
         raise ValueError("sigma0 belongs to a different spec")
     if not math.isfinite(t_end) or t_end < 0:
         raise ValueError(f"t_end must be finite and non-negative, got {t_end!r}")
-    k = spec.k
     N = spec.N
     spins = sigma0.spins.copy()
     n = list(int(v) for v in sigma0.counts())
-    a_idx = [spec.anticlockwise(i) for i in range(k)]
-    h_idx = [spec.clockwise(i) for i in range(k)]
-    kap = list(spec.kappa)
-    dJ = spec.delta * spec.J
-    hJ = (1.0 - spec.delta) * spec.J
+    step = jump.direct_step(spec)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(seed))))
 
     times = [0.0]
     states = [tuple(c / N for c in n)]
     t = 0.0
-    rates = [0.0] * (2 * k)
     while True:
-        tot = 0.0
-        for i in range(k):
-            e = 2.0 * (-dJ * (n[a_idx[i]] / N) - hJ * (n[h_idx[i]] / N) + kap[i])
-            r_up = (N - n[i]) * math.exp(e)
-            r_dn = n[i] * math.exp(-e)
-            rates[2 * i] = r_up
-            rates[2 * i + 1] = r_dn
-            tot += r_up + r_dn
-        if tot <= 0.0:
-            break
-        t_next = t + rng.standard_exponential() / tot
+        # Scalar draws per event: exponential, uniform, then the site pick.
+        dt, chosen = step(n, rng.standard_exponential(), rng.random())
+        t_next = t + dt
         if t_next >= t_end:
             break
-        target = rng.random() * tot
-        acc = 0.0
-        chosen = 2 * k - 1
-        for c in range(2 * k):
-            acc += rates[c]
-            if target < acc:
-                chosen = c
-                break
         i = chosen >> 1
         want = -1 if (chosen & 1) == 0 else 1  # current spin of the flipped site
         eligible = np.flatnonzero(spins[i] == want)

@@ -16,16 +16,13 @@ field and its Jacobian) is built from these two expressions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "LoopSpec",
     "DensityState",
-    "JumpDirection",
-    "flip_rates",
-    "jump_rate",
     "channel_rates",
     "vector_field",
     "jacobian",
@@ -140,31 +137,6 @@ class DensityState:
         return np.asarray(self.x, dtype=float)
 
 
-@dataclass(frozen=True)
-class JumpDirection:
-    """One of the 2k unit jumps +/- e_i of the density process."""
-
-    index: int
-    sign: int
-
-    def __post_init__(self):
-        if self.sign not in (-1, +1):
-            raise ValueError(f"sign must be +1 or -1, got {self.sign!r}")
-        if self.index < 0:
-            raise ValueError("index must be non-negative")
-
-    @staticmethod
-    def all_directions(k: int) -> tuple["JumpDirection", ...]:
-        return tuple(
-            JumpDirection(i, s) for i in range(k) for s in (+1, -1)
-        )
-
-    def vector(self, k: int) -> np.ndarray:
-        v = np.zeros(k)
-        v[self.index] = float(self.sign)
-        return v
-
-
 def _as_density_array(x) -> np.ndarray:
     if isinstance(x, DensityState):
         return x.as_array()
@@ -172,48 +144,26 @@ def _as_density_array(x) -> np.ndarray:
 
 
 def _exponents(spec: LoopSpec, x: np.ndarray) -> np.ndarray:
-    """Log of rate_up for every type: 2[-dJ*x_a - (1-d)J*x_h + kappa]."""
+    """Log of rate_up for every type: 2[-dJ*x_a - (1-d)J*x_h + kappa].
+
+    Types run along the last axis, so a batch of states gives a batch of
+    exponents.
+    """
     a_idx, h_idx = spec.neighbour_indices
     kappa = np.asarray(spec.kappa)
-    return 2.0 * (-spec.delta * spec.J * x[a_idx]
-                  - (1.0 - spec.delta) * spec.J * x[h_idx]
+    return 2.0 * (-spec.delta * spec.J * x[..., a_idx]
+                  - (1.0 - spec.delta) * spec.J * x[..., h_idx]
                   + kappa)
 
 
-def flip_rates(spec: LoopSpec, x, i: int) -> tuple[float, float]:
-    """Per-site activation and deactivation rates for type i at densities x.
-
-    Returns (rate_up, rate_down) with rate_up * rate_down = 1 in exact
-    arithmetic: the two rates are exp(+E) and exp(-E) of the same exponent.
-    """
-    xv = _as_density_array(x)
-    if not (0 <= i < spec.k):
-        raise ValueError(f"type index {i} outside 0..{spec.k - 1}")
-    if not np.all(np.isfinite(xv)):
-        raise ValueError("densities must be finite")
-    e = _exponents(spec, xv)[i]
-    return math.exp(e), math.exp(-e)
-
-
-def jump_rate(spec: LoopSpec, x, d: JumpDirection) -> float:
-    """Jump intensity beta_l(x) of the density process for direction l.
-
-    beta is (1 - x_i) * rate_up for an upward jump and x_i * rate_down for a
-    downward one; the process performs the jump x -> x + sign*e_i/N at rate
-    N * beta_l(x).  Boundary jumps get rate 0 through the (1 - x_i) or x_i
-    factor, so positive-rate jumps always stay inside [0, 1]^k.
-    """
-    xv = _as_density_array(x)
-    up, down = flip_rates(spec, xv, d.index)
-    if d.sign > 0:
-        return (1.0 - xv[d.index]) * up
-    return xv[d.index] * down
-
-
 def channel_rates(spec: LoopSpec, x) -> np.ndarray:
-    """beta_l(x) for all 2k jump directions, ordered (+e_0, -e_0, +e_1, ...).
+    """Jump intensities beta_l(x) for all 2k directions, ordered
+    (+e_0, -e_0, +e_1, ...).
 
-    Entries agree bitwise with :func:`jump_rate` (same scalar exp calls).
+    beta is (1 - x_i) e^{E_i} for an upward jump of type i and x_i e^{-E_i}
+    for a downward one; the process performs the jump x -> x +/- e_i/N at
+    rate N * beta.  Boundary jumps get rate 0 through the (1 - x_i) or x_i
+    factor, so positive-rate jumps always stay inside [0, 1]^k.
     """
     xv = _as_density_array(x)
     e = _exponents(spec, xv)

@@ -230,6 +230,17 @@ class TestConvergenceExperiment:
         for row in result.rows:
             assert row.q25 <= row.median <= row.q75
 
+    def test_increasing_medians_are_reported_not_raised(self):
+        # N decreasing along the sweep: medians grow, which is data for the
+        # caller to judge, not an error of the experiment.
+        base = LoopSpec(J=1.0, delta=0.3, kappa=(0.5,) * 3, N=100)
+        result = convergence_experiment(
+            base, [500, 50], (0.8, 0.2, 0.5), 1.0, replicas=6, seed=7
+        )
+        assert [row.N for row in result.rows] == [500, 50]
+        assert result.rows[1].median > result.rows[0].median
+        assert result.slope is not None and result.slope < 0
+
     def test_worker_pool_matches_serial(self):
         base = LoopSpec(J=1.0, delta=0.3, kappa=(0.5,) * 3, N=100)
         args = (base, [60, 240], (0.8, 0.2, 0.5), 1.0)

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from tdsim.cli import main, read_dataset
+from tdsim.cli import MAX_GRID_POINTS, _parse_grid, main, read_dataset
 
 
 def run(args):
@@ -214,6 +214,33 @@ class TestValidate:
         # central differences of the decoupled linear field bottom out at
         # their rounding floor eps/h ~ 1e-10
         assert by_name["jacobian vs finite differences"][1] < 1e-9
+
+
+class TestConfigErrors:
+    @pytest.mark.parametrize(
+        "argv, env, field",
+        [
+            (["simulate", "--seed", "1", "--thinning", "0"], None, "thinning"),
+            (["simulate", "--seed", "1", "--t-end", "nan"], None, "t-end"),
+            (["ode", "--t-end", "-1"], None, "t-end"),
+            (["converge", "--seed", "1", "--N", "50", "--t-end", "-1"], None, "t-end"),
+            (["converge", "--seed", "1", "--N", "50", "--t-end", "nan"], None, "t-end"),
+            (["converge", "--seed", "1", "--N", "50"], "two", "TDSIM_THREADS"),
+            (["converge", "--seed", "1", "--N", "50"], "0", "TDSIM_THREADS"),
+            (["bifurcate", "--grid", "0:1e9:1e-9"], None, "grid"),
+            (["bifurcate", "--grid", "0:1e308:1e-308"], None, "grid"),
+        ],
+    )
+    def test_exits_2_naming_the_field(self, argv, env, field, tmp_path, monkeypatch, capsys):
+        if env is not None:
+            monkeypatch.setenv("TDSIM_THREADS", env)
+        out = tmp_path / "never.csv"
+        assert run(argv + ["--out", str(out)]) == 2
+        assert f"configuration error: {field}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_grid_at_the_point_limit_is_accepted(self):
+        assert len(_parse_grid(f"0:{MAX_GRID_POINTS - 1}:1")) == MAX_GRID_POINTS
 
 
 class TestRoundTrip:

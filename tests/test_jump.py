@@ -5,14 +5,8 @@ import numpy as np
 import pytest
 
 from tdsim import ode
-from tdsim.jump import default_thinning, ssa_simulate, sup_distance
-from tdsim.model import (
-    DensityState,
-    JumpDirection,
-    LoopSpec,
-    jump_rate,
-    vector_field,
-)
+from tdsim.jump import default_thinning, direct_step, ssa_simulate, sup_distance
+from tdsim.model import DensityState, LoopSpec, channel_rates, vector_field
 from tdsim.trajectory import Trajectory
 
 
@@ -43,10 +37,7 @@ class TestSsaSimulate:
         # beta = 1/2, so the process leaves at rate 6 * N/2.
         spec = LoopSpec.with_half_j(J=2.0, delta=1.0, N=100)
         x0 = DensityState((0.5, 0.5, 0.5), grid=100)
-        total = sum(
-            spec.N * jump_rate(spec, x0, d) for d in JumpDirection.all_directions(3)
-        )
-        assert total == 300.0
+        assert spec.N * channel_rates(spec, x0).sum() == 300.0
 
     def test_seed_determinism_bytewise(self):
         spec = LoopSpec(J=1.0, delta=0.4, kappa=(0.3,) * 3, N=50)
@@ -138,6 +129,33 @@ class TestSsaSimulate:
             ssa_simulate(spec, x0, 1.0, seed=0, thinning=0)
         with pytest.raises(ValueError):
             ssa_simulate(spec, DensityState.from_counts((5, 5), 10), 1.0, seed=0)
+
+
+class TestDirectStep:
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_aggregate_rates_match_channel_rates(self, k):
+        # The waiting time at e = 1 is the inverse total rate; a uniform at
+        # the middle of a channel's share of the total picks that channel.
+        rng = np.random.default_rng(60 + k)
+        for _ in range(50):
+            N = int(rng.integers(1, 500))
+            spec = LoopSpec(
+                J=float(rng.uniform(-3, 3)),
+                delta=float(rng.uniform(0, 1)),
+                kappa=tuple(rng.uniform(-1, 1, k)),
+                N=N,
+                k=k,
+            )
+            n = [int(c) for c in rng.integers(0, N + 1, k)]
+            step = direct_step(spec)
+            expected = N * channel_rates(spec, np.array(n) / N)
+            total = expected.sum()
+            dt, _ = step(n, 1.0, 0.5)
+            assert 1.0 / dt == pytest.approx(total, rel=1e-12)
+            cum = np.cumsum(expected)
+            for c in np.flatnonzero(expected > 1e-9 * total):
+                mid = (cum[c] - 0.5 * expected[c]) / total
+                assert step(n, 1.0, mid)[1] == c
 
 
 class TestSupDistance:

@@ -1,4 +1,5 @@
 """Rate functions, vector field and Jacobian against independent oracles."""
+import math
 from decimal import Decimal, getcontext
 
 import numpy as np
@@ -6,13 +7,11 @@ import pytest
 
 from tdsim.model import (
     DensityState,
-    JumpDirection,
     LoopSpec,
+    _exponents,
     channel_rates,
     field_closure,
-    flip_rates,
     jacobian,
-    jump_rate,
     vector_field,
 )
 
@@ -32,6 +31,18 @@ def decimal_field(J, delta, kappa, x):
         e = 2 * (-delta * J * xa - (1 - delta) * J * xh + Decimal(repr(kappa[i])))
         out.append((1 - xs[i]) * e.exp() - xs[i] * (-e).exp())
     return [float(v) for v in out]
+
+
+def flip_rates(spec, x, i):
+    """Per-site (rate_up, rate_down) of type i: channel rates without the
+    boundary factors (1 - x_i) and x_i."""
+    rates = channel_rates(spec, x)
+    return rates[2 * i] / (1.0 - x[i]), rates[2 * i + 1] / x[i]
+
+
+def unit_jumps(k):
+    """Jump vectors of the 2k channels, in channel_rates order."""
+    return [s * np.eye(k)[i] for i in range(k) for s in (+1, -1)]
 
 
 class TestLoopSpec:
@@ -101,28 +112,22 @@ class TestFlipRates:
             up, down = flip_rates(spec, x, i)
             assert up * down == pytest.approx(1.0, rel=1e-12)
 
-    def test_rejects_bad_index(self):
-        spec = LoopSpec.with_half_j(J=1.0, delta=0.0, N=5)
-        with pytest.raises(ValueError):
-            flip_rates(spec, (0.2, 0.4, 0.6), 3)
-
 
 class TestJumpRate:
     def test_boundary_up(self):
         spec = LoopSpec.with_half_j(J=1.0, delta=0.2, N=4)
         x = DensityState((1.0, 0.5, 0.25), grid=4)
-        assert jump_rate(spec, x, JumpDirection(0, +1)) == 0.0
+        assert channel_rates(spec, x)[0] == 0.0
 
     def test_boundary_down(self):
         spec = LoopSpec.with_half_j(J=1.0, delta=0.2, N=4)
         x = DensityState((0.0, 0.5, 0.25), grid=4)
-        assert jump_rate(spec, x, JumpDirection(0, -1)) == 0.0
+        assert channel_rates(spec, x)[1] == 0.0
 
     def test_symmetric_point_half(self):
         spec = LoopSpec.with_half_j(J=2.0, delta=1.0, N=100)
         x = DensityState((0.5, 0.5, 0.5), grid=100)
-        for d in JumpDirection.all_directions(3):
-            assert jump_rate(spec, x, d) == pytest.approx(0.5, rel=1e-15)
+        assert channel_rates(spec, x) == pytest.approx(np.full(6, 0.5), rel=1e-15)
 
     def test_boundary_closure(self):
         rng = np.random.default_rng(5)
@@ -136,9 +141,9 @@ class TestJumpRate:
             )
             counts = rng.integers(0, N + 1, 3)
             x = DensityState.from_counts(counts, N)
-            for d in JumpDirection.all_directions(3):
-                if jump_rate(spec, x, d) > 0:
-                    target = x.as_array() + d.vector(3) / N
+            for rate, jump in zip(channel_rates(spec, x), unit_jumps(3)):
+                if rate > 0:
+                    target = x.as_array() + jump / N
                     assert np.all(target >= -1e-12) and np.all(target <= 1 + 1e-12)
 
 
@@ -174,7 +179,6 @@ class TestVectorField:
 
     def test_equals_sum_of_jump_rates(self):
         rng = np.random.default_rng(23)
-        dirs = JumpDirection.all_directions(3)
         for _ in range(100):
             spec = LoopSpec(
                 J=float(rng.uniform(-3, 3)),
@@ -183,16 +187,27 @@ class TestVectorField:
                 N=10,
             )
             x = rng.uniform(0, 1, 3)
-            total = sum(d.vector(3) * jump_rate(spec, x, d) for d in dirs)
+            total = sum(j * r for j, r in zip(unit_jumps(3), channel_rates(spec, x)))
             assert vector_field(spec, x) == pytest.approx(total, abs=1e-12)
 
     def test_channel_rates_match_jump_rate(self):
+        # Jump intensities against the rate law written out per type.
         spec = LoopSpec(J=1.2, delta=0.3, kappa=(0.4, -0.2, 0.1), N=10)
         x = np.array([0.1, 0.6, 0.9])
         rates = channel_rates(spec, x)
         for i in range(3):
-            assert rates[2 * i] == jump_rate(spec, x, JumpDirection(i, +1))
-            assert rates[2 * i + 1] == jump_rate(spec, x, JumpDirection(i, -1))
+            e = 2 * (-0.3 * 1.2 * x[(i - 1) % 3] - 0.7 * 1.2 * x[(i + 1) % 3]
+                     + spec.kappa[i])
+            assert rates[2 * i] == pytest.approx((1 - x[i]) * math.exp(e), rel=1e-14)
+            assert rates[2 * i + 1] == pytest.approx(x[i] * math.exp(-e), rel=1e-14)
+
+    def test_channel_rates_of_a_batch(self):
+        rng = np.random.default_rng(19)
+        spec = LoopSpec(J=-0.9, delta=0.65, kappa=(0.3, -0.4, 0.2, 0.1), N=10, k=4)
+        xs = rng.uniform(0, 1, (5, 4))
+        batch = _exponents(spec, xs)
+        for x, e in zip(xs, batch):
+            assert np.array_equal(e, _exponents(spec, x))
 
     def test_field_closure_matches(self):
         rng = np.random.default_rng(3)
