@@ -143,36 +143,33 @@ def orbit_extrema(traj: Trajectory, t_start: float, t_end: float):
     if traj.derivs is None:
         raise ValueError("orbit extrema need a trajectory with node derivatives")
     ts = traj.times
-    ncoord = traj.states.shape[1]
-    candidates = [np.array([t_start, t_end])]
-    lo = np.searchsorted(ts, t_start, side="right") - 1
-    hi = np.searchsorted(ts, t_end, side="left")
-    for seg in range(max(lo, 0), min(hi, len(ts) - 1)):
-        t0, t1 = ts[seg], ts[seg + 1]
-        h = t1 - t0
-        y0 = traj.states[seg]
-        y1 = traj.states[seg + 1]
-        f0 = traj.derivs[seg] * h
-        f1 = traj.derivs[seg + 1] * h
-        # Hermite cubic in s on [0,1]: derivative is quadratic a s^2 + b s + c.
-        for c_i in range(ncoord):
-            a = 6 * y0[c_i] - 6 * y1[c_i] + 3 * f0[c_i] + 3 * f1[c_i]
-            b = -6 * y0[c_i] + 6 * y1[c_i] - 4 * f0[c_i] - 2 * f1[c_i]
-            c = f0[c_i]
-            roots = []
-            if abs(a) > 1e-300:
-                disc = b * b - 4 * a * c
-                if disc >= 0:
-                    sq = math.sqrt(disc)
-                    roots = [(-b - sq) / (2 * a), (-b + sq) / (2 * a)]
-            elif abs(b) > 1e-300:
-                roots = [-c / b]
-            ok = [t0 + s * h for s in roots if 0.0 < s < 1.0]
-            ok = [t for t in ok if t_start <= t <= t_end]
-            if ok:
-                candidates.append(np.asarray(ok))
-    all_t = np.concatenate(candidates)
-    vals = traj.hermite_at(all_t)
+    lo = max(np.searchsorted(ts, t_start, side="right") - 1, 0)
+    hi = min(np.searchsorted(ts, t_end, side="left"), len(ts) - 1)
+    t0 = ts[lo:hi, None]
+    h = ts[lo + 1:hi + 1, None] - t0
+    y0 = traj.states[lo:hi]
+    y1 = traj.states[lo + 1:hi + 1]
+    f0 = traj.derivs[lo:hi] * h
+    f1 = traj.derivs[lo + 1:hi + 1] * h
+    # Hermite cubic in s on [0,1] per segment and coordinate: its derivative
+    # is the quadratic a s^2 + b s + c.  It has two real roots when
+    # |a| > 1e-300 and the discriminant is non-negative, else one root -c/b
+    # when |a| <= 1e-300 < |b|.
+    a = 6 * y0 - 6 * y1 + 3 * f0 + 3 * f1
+    b = -6 * y0 + 6 * y1 - 4 * f0 - 2 * f1
+    c = f0
+    quadratic = np.abs(a) > 1e-300
+    disc = b * b - 4 * a * c
+    real = quadratic & (disc >= 0)
+    linear = ~quadratic & (np.abs(b) > 1e-300)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sq = np.sqrt(disc)
+        s = np.stack([(-b - sq) / (2 * a),
+                      np.where(quadratic, (-b + sq) / (2 * a), -c / b)])
+    ok = np.stack([real, real | linear]) & (0.0 < s) & (s < 1.0)
+    t = (t0 + s * h)[ok]
+    candidates = [np.array([t_start, t_end]), t[(t_start <= t) & (t <= t_end)]]
+    vals = traj.hermite_at(np.concatenate(candidates))
     return vals.min(axis=0), vals.max(axis=0)
 
 

@@ -28,6 +28,8 @@ from .model import DensityState, LoopSpec
 
 # Largest number of points a start:stop:step grid may expand to.
 MAX_GRID_POINTS = 10_000
+# Largest t_end / sample_dt, and t_end / step for rk4, that `ode` accepts.
+MAX_ODE_NODES = 1_000_000
 
 
 class ConfigError(ValueError):
@@ -243,6 +245,11 @@ def cmd_ode(args) -> int:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    # Checked before integrating, so no node list or grid is ever built.
+    if args.sample_dt is not None and args.t_end / args.sample_dt > MAX_ODE_NODES:
+        raise ConfigError(f"sample-dt: t_end / sample_dt is above {MAX_ODE_NODES} nodes")
+    if args.method == "rk4" and args.t_end / args.step > MAX_ODE_NODES:
+        raise ConfigError(f"step: t_end / step is above {MAX_ODE_NODES} nodes")
     traj = ode.integrate(spec, np.array(x0), args.t_end, settings)
     config = _common_config(
         args, spec, t_end=float(args.t_end), x0=args.x0, method=args.method,

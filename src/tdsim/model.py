@@ -188,12 +188,14 @@ def vector_field(spec: LoopSpec, x) -> np.ndarray:
 
 
 def field_closure(spec: LoopSpec):
-    """Fast callable y -> F(y) for integrators; scalar math when k = 3.
+    """Fast callable y -> F(y) for integrators, returning Python floats.
 
-    Same formula and operation order as :func:`vector_field`.
+    For k = 3 the field is scalar math returning a tuple; other k return
+    ``vector_field(...).tolist()``.  Same formula and operation order as
+    :func:`vector_field`.
     """
     if spec.k != 3:
-        return lambda y: vector_field(spec, y)
+        return lambda y: vector_field(spec, y).tolist()
     dJ = -spec.delta * spec.J
     hJ = -(1.0 - spec.delta) * spec.J
     k0, k1, k2 = spec.kappa
@@ -211,12 +213,10 @@ def field_closure(spec: LoopSpec):
         e0 = 2.0 * (dJ * y2 + hJ * y1 + k0)
         e1 = 2.0 * (dJ * y0 + hJ * y2 + k1)
         e2 = 2.0 * (dJ * y1 + hJ * y0 + k2)
-        return np.array(
-            [
-                (1.0 - y0) * exp(e0) - y0 * exp(-e0),
-                (1.0 - y1) * exp(e1) - y1 * exp(-e1),
-                (1.0 - y2) * exp(e2) - y2 * exp(-e2),
-            ]
+        return (
+            (1.0 - y0) * exp(e0) - y0 * exp(-e0),
+            (1.0 - y1) * exp(e1) - y1 * exp(-e1),
+            (1.0 - y2) * exp(e2) - y2 * exp(-e2),
         )
 
     return field3

@@ -4,10 +4,18 @@ Two integrators are provided: a fixed-step classic Runge-Kutta 4 and an
 adaptive embedded Dormand-Prince 5(4) pair.  Both record the accepted nodes
 together with the field values there, so trajectories support cubic-Hermite
 dense output (used for orbit-extrema detection and fine reference sampling).
+
+The integrators step on Python floats, one comprehension per stage, because
+numpy's per-call overhead dominates on states of a few components; the field
+takes and returns sequences of floats.  The output trajectory holds numpy
+arrays, and its ``meta`` records the run counters ``steps_accepted``,
+``steps_rejected`` and ``f_evals``.
 """
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,20 +77,37 @@ class IntegratorSettings:
     def __post_init__(self):
         if self.method not in ("rk4", "rk45"):
             raise ValueError(f"unknown method {self.method!r}")
-        if self.step <= 0 or self.rtol <= 0 or self.atol <= 0:
-            raise ValueError("step, rtol and atol must be positive")
-        if self.sample_dt is not None and self.sample_dt <= 0:
-            raise ValueError("sample_dt must be positive")
+        for name in ("step", "rtol", "atol", "sample_dt"):
+            value = getattr(self, name)
+            if name == "sample_dt" and value is None:
+                continue
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 # Dormand-Prince 5(4) error-estimate coefficients (b5 - b4).
 _DP_ERR = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+# Smallest adaptive step, relative to max(1, |t|).
+_MIN_STEP = 16 * sys.float_info.epsilon
 
 
-def _rk4_path(f, y0, t_end, h):
-    ts = [0.0]
-    ys = [y0]
-    fs = [f(y0)]
+def _all_finite(values) -> bool:
+    return all(map(math.isfinite, values))
+
+
+def _arrays(ts, ys, fs):
+    """Node times, states and field values as numpy arrays."""
+    return (np.frombuffer(ts), np.frombuffer(ys).reshape(len(ts), -1),
+            np.frombuffer(fs).reshape(len(ts), -1))
+
+
+def _rk4_path(f, y0, t_end, h, stats):
+    # Nodes go into flat double arrays: a list of per-node float objects
+    # would take several times the memory.
+    k1 = f(y0)
+    ts = array("d", [0.0])
+    ys = array("d", y0)
+    fs = array("d", k1)
     t = 0.0
     y = y0
     # A diverging solution overflows before being reported as NonFiniteState;
@@ -90,28 +115,33 @@ def _rk4_path(f, y0, t_end, h):
     with np.errstate(over="ignore", invalid="ignore"):
         while t < t_end - 1e-15:
             step = min(h, t_end - t)
-            k1 = f(y)
-            k2 = f(y + 0.5 * step * k1)
-            k3 = f(y + 0.5 * step * k2)
-            k4 = f(y + step * k3)
-            y = y + (step / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            half = 0.5 * step
+            k2 = f([a + half * b for a, b in zip(y, k1)])
+            k3 = f([a + half * b for a, b in zip(y, k2)])
+            k4 = f([a + step * b for a, b in zip(y, k3)])
+            sixth = step / 6.0
+            y = [a + sixth * (b1 + 2 * b2 + 2 * b3 + b4)
+                 for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
             t = t + step
-            if not np.all(np.isfinite(y)):
+            if not _all_finite(y):
                 raise NonFiniteState(t)
+            k1 = f(y)
             ts.append(t)
-            ys.append(y)
-            fs.append(f(y))
-    return np.array(ts), np.array(ys), np.array(fs)
+            ys.extend(y)
+            fs.extend(k1)
+    stats.update(steps_rejected=0, f_evals=1 + 4 * (len(ts) - 1))
+    return _arrays(ts, ys, fs)
 
 
-def _rk45_path(f, y0, t_end, rtol, atol):
-    ts = [0.0]
-    ys = [y0]
+def _rk45_path(f, y0, t_end, rtol, atol, stats):
     k1 = f(y0)
-    fs = [k1]
+    ts = array("d", [0.0])
+    ys = array("d", y0)
+    fs = array("d", k1)
     t = 0.0
     y = y0
     h = min(1e-2, t_end) if t_end > 0 else 0.0
+    rejected = 0
     e1, e3, e4, e5, e6, e7 = (
         _DP_ERR[0], _DP_ERR[2], _DP_ERR[3], _DP_ERR[4], _DP_ERR[5], _DP_ERR[6],
     )
@@ -120,62 +150,76 @@ def _rk45_path(f, y0, t_end, rtol, atol):
     with np.errstate(over="ignore", invalid="ignore"):
         while t < t_end - 1e-15:
             h = min(h, t_end - t)
-            if h < 16 * np.finfo(float).eps * max(1.0, abs(t)):
+            if h < _MIN_STEP * max(1.0, abs(t)):
                 raise StepSizeUnderflow(t)
-            k2 = f(y + h * (0.2 * k1))
-            k3 = f(y + h * (0.075 * k1 + 0.225 * k2))
-            k4 = f(y + h * ((44 / 45) * k1 - (56 / 15) * k2 + (32 / 9) * k3))
-            k5 = f(y + h * ((19372 / 6561) * k1 - (25360 / 2187) * k2
-                            + (64448 / 6561) * k3 - (212 / 729) * k4))
-            k6 = f(y + h * ((9017 / 3168) * k1 - (355 / 33) * k2 + (46732 / 5247) * k3
-                            + (49 / 176) * k4 - (5103 / 18656) * k5))
-            y_new = y + h * ((35 / 384) * k1 + (500 / 1113) * k3 + (125 / 192) * k4
-                             - (2187 / 6784) * k5 + (11 / 84) * k6)
+            k2 = f([a + h * (0.2 * b1) for a, b1 in zip(y, k1)])
+            k3 = f([a + h * (0.075 * b1 + 0.225 * b2) for a, b1, b2 in zip(y, k1, k2)])
+            k4 = f([a + h * ((44 / 45) * b1 - (56 / 15) * b2 + (32 / 9) * b3)
+                    for a, b1, b2, b3 in zip(y, k1, k2, k3)])
+            k5 = f([a + h * ((19372 / 6561) * b1 - (25360 / 2187) * b2
+                             + (64448 / 6561) * b3 - (212 / 729) * b4)
+                    for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)])
+            k6 = f([a + h * ((9017 / 3168) * b1 - (355 / 33) * b2 + (46732 / 5247) * b3
+                             + (49 / 176) * b4 - (5103 / 18656) * b5)
+                    for a, b1, b2, b3, b4, b5 in zip(y, k1, k2, k3, k4, k5)])
+            y_new = [a + h * ((35 / 384) * b1 + (500 / 1113) * b3 + (125 / 192) * b4
+                              - (2187 / 6784) * b5 + (11 / 84) * b6)
+                     for a, b1, b3, b4, b5, b6 in zip(y, k1, k3, k4, k5, k6)]
             k7 = f(y_new)
-            err_vec = h * (e1 * k1 + e3 * k3 + e4 * k4 + e5 * k5 + e6 * k6 + e7 * k7)
-            scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-            err = float(np.max(np.abs(err_vec) / scale))
-            if not np.isfinite(err) or not np.all(np.isfinite(y_new)):
+            # Scaled error per component; Python's max would drop a NaN, so
+            # finiteness is tested on every ratio, not on their maximum.
+            ratios = [
+                abs(h * (e1 * b1 + e3 * b3 + e4 * b4 + e5 * b5 + e6 * b6 + e7 * b7))
+                / (atol + rtol * max(abs(a), abs(a_new)))
+                for a, a_new, b1, b3, b4, b5, b6, b7 in zip(y, y_new, k1, k3, k4, k5, k6, k7)
+            ]
+            if not _all_finite(ratios) or not _all_finite(y_new):
                 # Treat a blown-up trial step as maximally inaccurate: shrink.
-                if not np.all(np.isfinite(y)):
+                if not _all_finite(y):
                     raise NonFiniteState(t)
+                rejected += 1
                 h *= 0.2
                 continue
+            err = max(ratios)
             if err <= 1.0:
                 t = t + h
                 y = y_new
                 k1 = k7  # first-same-as-last
                 ts.append(t)
-                ys.append(y)
-                fs.append(k1)
+                ys.extend(y)
+                fs.extend(k1)
+            else:
+                rejected += 1
             factor = 0.9 * (err ** -0.2) if err > 0 else 5.0
             h *= min(5.0, max(0.2, factor))
-    return np.array(ts), np.array(ys), np.array(fs)
+    stats.update(steps_rejected=rejected, f_evals=1 + 6 * (len(ts) - 1 + rejected))
+    return _arrays(ts, ys, fs)
 
 
 def _integrate_field(f, y0, t_end, settings, meta):
-    y0 = np.asarray(y0, dtype=float)
+    """Integrate on Python floats from ``y0`` (a list); numpy arrays on output.
+
+    ``meta`` gains the run counters ``steps_accepted``, ``steps_rejected``
+    and ``f_evals`` (field evaluations, including the resampling ones).
+    """
     if not math.isfinite(t_end) or t_end < 0:
         raise ValueError(f"t_end must be finite and non-negative, got {t_end!r}")
-    if t_end == 0:
-        traj = Trajectory(
-            np.array([0.0]), y0[None, :], kind="deterministic",
-            meta=meta, derivs=np.asarray(f(y0))[None, :],
-        )
-        return traj
+    stats = {}
     if settings.method == "rk4":
-        ts, ys, fs = _rk4_path(f, y0, t_end, settings.step)
+        ts, ys, fs = _rk4_path(f, y0, t_end, settings.step, stats)
     else:
-        ts, ys, fs = _rk45_path(f, y0, t_end, settings.rtol, settings.atol)
+        ts, ys, fs = _rk45_path(f, y0, t_end, settings.rtol, settings.atol, stats)
+    meta.update(steps_accepted=len(ts) - 1, **stats)
     traj = Trajectory(ts, ys, kind="deterministic", meta=meta, derivs=fs)
-    if settings.sample_dt is not None:
+    if settings.sample_dt is not None and t_end > 0:
         grid = np.arange(0.0, t_end, settings.sample_dt)
         if grid[-1] < t_end:
             grid = np.append(grid, t_end)
         sampled = traj.hermite_at(grid)
+        meta["f_evals"] += len(grid)
         traj = Trajectory(
             grid, sampled, kind="deterministic", meta=meta,
-            derivs=np.array([f(s) for s in sampled]),
+            derivs=np.array([f(s) for s in sampled.tolist()]),
         )
     return traj
 
@@ -198,7 +242,7 @@ def integrate(
     if np.any(x0 < 0) or np.any(x0 > 1):
         raise ValueError("x0 must lie in [0, 1]^k")
     meta = {"spec": spec, "settings": settings, "t_end": float(t_end)}
-    return _integrate_field(field_closure(spec), x0, t_end, settings, meta)
+    return _integrate_field(field_closure(spec), x0.tolist(), t_end, settings, meta)
 
 
 def integrate_linear(
@@ -216,4 +260,4 @@ def integrate_linear(
     if not np.all(np.isfinite(A)) or not np.all(np.isfinite(z0)):
         raise ValueError("A and z0 must be finite")
     meta = {"A": A, "settings": settings, "t_end": float(t_end)}
-    return _integrate_field(lambda y: A @ y, z0, t_end, settings, meta)
+    return _integrate_field(lambda y: (A @ y).tolist(), z0.tolist(), t_end, settings, meta)

@@ -8,6 +8,7 @@ from tdsim.analysis import (
     classify,
     convergence_experiment,
     fixed_point_branch,
+    orbit_extrema,
     polar_rates,
     rotation_matrix,
     scan,
@@ -15,6 +16,8 @@ from tdsim.analysis import (
     z_system,
 )
 from tdsim.model import LoopSpec, jacobian, vector_field
+from tdsim.ode import IntegratorSettings, integrate, integrate_linear
+from tdsim.trajectory import Trajectory
 
 SQRT3 = math.sqrt(3.0)
 
@@ -147,6 +150,69 @@ class TestClassify:
                     classify(J, delta).classification
                     == classify(J, 1 - delta).classification
                 )
+
+
+def scalar_orbit_extrema(traj, t_start, t_end):
+    """Oracle: orbit_extrema one segment and one coordinate at a time."""
+    ts = traj.times
+    candidates = [np.array([t_start, t_end])]
+    lo = np.searchsorted(ts, t_start, side="right") - 1
+    hi = np.searchsorted(ts, t_end, side="left")
+    for seg in range(max(lo, 0), min(hi, len(ts) - 1)):
+        t0, t1 = ts[seg], ts[seg + 1]
+        h = t1 - t0
+        y0, y1 = traj.states[seg], traj.states[seg + 1]
+        f0, f1 = traj.derivs[seg] * h, traj.derivs[seg + 1] * h
+        for i in range(traj.states.shape[1]):
+            a = 6 * y0[i] - 6 * y1[i] + 3 * f0[i] + 3 * f1[i]
+            b = -6 * y0[i] + 6 * y1[i] - 4 * f0[i] - 2 * f1[i]
+            c = f0[i]
+            roots = []
+            if abs(a) > 1e-300:
+                disc = b * b - 4 * a * c
+                if disc >= 0:
+                    sq = math.sqrt(disc)
+                    roots = [(-b - sq) / (2 * a), (-b + sq) / (2 * a)]
+            elif abs(b) > 1e-300:
+                roots = [-c / b]
+            ok = [t0 + s * h for s in roots if 0.0 < s < 1.0]
+            candidates.append(np.array([t for t in ok if t_start <= t <= t_end]))
+    vals = traj.hermite_at(np.concatenate(candidates))
+    return vals.min(axis=0), vals.max(axis=0)
+
+
+class TestOrbitExtrema:
+    @staticmethod
+    def hand_made():
+        # Coordinates: y = t^2 - 3t (cubic coefficient exactly 0, one linear
+        # root), a constant (no root), a quartic with complex and real roots.
+        ts = np.array([0.0, 1.0, 2.0, 3.0, 4.5])
+        quartic = lambda t: t**4 - 6 * t**3 + 11 * t**2 - 6 * t  # noqa: E731
+        dquartic = lambda t: 4 * t**3 - 18 * t**2 + 22 * t - 6  # noqa: E731
+        states = np.stack([ts**2 - 3 * ts, np.full(5, 0.25), quartic(ts)], axis=1)
+        derivs = np.stack([2 * ts - 3, np.zeros(5), dquartic(ts)], axis=1)
+        return Trajectory(ts, states, kind="deterministic", derivs=derivs)
+
+    def test_matches_scalar_oracle_bitwise(self):
+        spec = LoopSpec.with_half_j(J=2.4, delta=0.2, N=1)
+        osc = integrate(spec, np.array([0.6, 0.5, 0.4]), 60.0)
+        k4 = integrate(LoopSpec(J=2.8, delta=0.1, kappa=(1.4,) * 4, N=1, k=4),
+                       np.array([0.9, 0.1, 0.5, 0.3]), 20.0,
+                       IntegratorSettings(method="rk4", step=0.05))
+        rot = integrate_linear(z_system(2.0, 0.3), np.array([0.6, -0.3, 0.2]), 10.0)
+        cases = [(osc, 20.0, 60.0), (osc, 0.0, 60.0), (k4, 3.3, 17.05),
+                 (rot, 1.0, 9.5), (self.hand_made(), 0.0, 4.5),
+                 (self.hand_made(), 0.5, 2.5)]
+        for traj, t_start, t_end in cases:
+            got = orbit_extrema(traj, t_start, t_end)
+            want = scalar_orbit_extrema(traj, t_start, t_end)
+            for g, w in zip(got, want):
+                assert g.tobytes() == w.tobytes()
+
+    def test_hand_made_extrema(self):
+        lo, hi = orbit_extrema(self.hand_made(), 0.0, 4.5)
+        assert lo[0] == -2.25 and hi[0] == 6.75
+        assert lo[1] == hi[1] == 0.25
 
 
 class TestScan:

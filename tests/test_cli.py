@@ -1,10 +1,12 @@
 """Command-line interface: outputs, determinism, exit codes, round trips."""
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from tdsim.cli import MAX_GRID_POINTS, _parse_grid, main, read_dataset
+from tdsim import ode
+from tdsim.cli import MAX_GRID_POINTS, MAX_ODE_NODES, _parse_grid, main, read_dataset
 
 
 def run(args):
@@ -229,6 +231,12 @@ class TestConfigErrors:
             (["converge", "--seed", "1", "--N", "50"], "0", "TDSIM_THREADS"),
             (["bifurcate", "--grid", "0:1e9:1e-9"], None, "grid"),
             (["bifurcate", "--grid", "0:1e308:1e-308"], None, "grid"),
+            (["ode", "--method", "rk4", "--step", "nan"], None, "step"),
+            (["ode", "--rtol", "inf"], None, "rtol"),
+            (["ode", "--atol", "nan"], None, "atol"),
+            (["ode", "--sample-dt", "nan"], None, "sample_dt"),
+            (["ode", "--t-end", "1", "--sample-dt", "1e-9"], None, "sample-dt"),
+            (["ode", "--method", "rk4", "--t-end", "1", "--step", "1e-12"], None, "step"),
         ],
     )
     def test_exits_2_naming_the_field(self, argv, env, field, tmp_path, monkeypatch, capsys):
@@ -238,6 +246,43 @@ class TestConfigErrors:
         assert run(argv + ["--out", str(out)]) == 2
         assert f"configuration error: {field}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["--t-end", "1", "--sample-dt", "1e-9"],
+        ["--t-end", "1e300", "--sample-dt", "1e-300"],
+        ["--method", "rk4", "--t-end", "1", "--step", "1e-12"],
+        ["--method", "rk4", "--t-end", "1e6", "--step", "0.5"],
+    ])
+    def test_oversized_ode_rejected_before_integrating(self, argv, tmp_path, monkeypatch,
+                                                       capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("integrate reached")
+
+        monkeypatch.setattr(ode, "integrate", never)
+        tracemalloc.start()
+        try:
+            assert run(["ode"] + argv + ["--out", str(tmp_path / "never.csv")]) == 2
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert f"above {MAX_ODE_NODES} nodes" in capsys.readouterr().err
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("argv", [
+        ["--t-end", "1", "--sample-dt", str(1 / MAX_ODE_NODES)],
+        ["--method", "rk4", "--t-end", str(MAX_ODE_NODES), "--step", "1"],
+        ["--t-end", "1", "--step", "1e-12"],  # rk45 ignores --step
+    ])
+    def test_ode_at_the_node_limit_is_accepted(self, argv, tmp_path, monkeypatch):
+        calls = []
+
+        def reached(*args, **kwargs):
+            calls.append(args)
+            raise RuntimeError("stop before integrating")
+
+        monkeypatch.setattr(ode, "integrate", reached)
+        assert run(["ode"] + argv + ["--out", str(tmp_path / "never.csv")]) == 1
+        assert len(calls) == 1
 
     def test_grid_at_the_point_limit_is_accepted(self):
         assert len(_parse_grid(f"0:{MAX_GRID_POINTS - 1}:1")) == MAX_GRID_POINTS

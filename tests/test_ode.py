@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from tdsim.model import LoopSpec
+from tdsim import ode
+from tdsim.model import LoopSpec, field_closure
 from tdsim.ode import (
     IntegratorSettings,
     NonFiniteState,
@@ -111,13 +112,89 @@ class TestIntegrate:
         traj = integrate(spec, np.array([0.7, 0.4, 0.5]), 0.0)
         assert len(traj) == 1
 
+    def test_rk4_overflow_of_the_float_field(self):
+        # The k = 3 field overflows to inf on the first step; the state is
+        # reported non-finite at the end of that step.
+        spec = LoopSpec.with_half_j(J=6.0, delta=0.2, N=10)
+        with pytest.raises(NonFiniteState) as info:
+            integrate(spec, np.array([0.9, 0.1, 0.5]), 10.0,
+                      IntegratorSettings(method="rk4", step=0.5))
+        assert info.value.t == 0.5
+
+    def test_rk45_rejects_blown_up_trial_steps(self):
+        spec = LoopSpec.with_half_j(J=6.0, delta=0.2, N=10)
+        traj = integrate(spec, np.array([0.9, 0.1, 0.5]), 20.0,
+                         IntegratorSettings(rtol=1e-3, atol=1e-6))
+        assert len(traj) == 2264
+        assert traj.meta["steps_accepted"] == 2263
+        assert traj.meta["steps_rejected"] > 0
+        assert np.all(np.isfinite(traj.states))
+
+    @pytest.mark.parametrize("settings, t_end", [
+        (IntegratorSettings(method="rk4", step=0.1), 2.0),
+        (IntegratorSettings(rtol=1e-6, atol=1e-9), 5.0),
+        (IntegratorSettings(sample_dt=0.25), 1.0),
+        (IntegratorSettings(), 0.0),
+    ])
+    def test_run_counters_match_field_calls(self, settings, t_end, monkeypatch):
+        calls = [0]
+
+        def counting_closure(spec):
+            f = field_closure(spec)
+
+            def counted(y):
+                calls[0] += 1
+                return f(y)
+
+            return counted
+
+        monkeypatch.setattr(ode, "field_closure", counting_closure)
+        spec = LoopSpec.with_half_j(J=2.5, delta=0.1, N=10)
+        traj = integrate(spec, np.array([0.9, 0.1, 0.5]), t_end, settings)
+        meta = traj.meta
+        assert meta["f_evals"] == calls[0]
+        if settings.sample_dt is None:
+            assert meta["steps_accepted"] == len(traj) - 1
+        if settings.method == "rk4":
+            assert meta["f_evals"] == 1 + 4 * meta["steps_accepted"]
+            assert meta["steps_rejected"] == 0
+
+    def test_fields_return_python_floats(self):
+        k3 = field_closure(LoopSpec.with_half_j(J=1.3, delta=0.2, N=10))([0.2, 0.5, 0.7])
+        k4 = field_closure(LoopSpec(J=1.3, delta=0.2, kappa=(0.1,) * 4, N=10, k=4))(
+            [0.2, 0.5, 0.7, 0.4])
+        assert isinstance(k3, tuple) and isinstance(k4, list)
+        assert all(type(v) is float for v in k3 + tuple(k4))
+
     def test_rejects_bad_start(self):
         spec = LoopSpec.with_half_j(J=1.0, delta=0.3, N=10)
         with pytest.raises(ValueError):
             integrate(spec, np.array([1.2, 0.5, 0.5]), 1.0)
 
 
+class TestIntegratorSettings:
+    @pytest.mark.parametrize("name", ["step", "rtol", "atol", "sample_dt"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_rejects_naming_the_field(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite and positive"):
+            IntegratorSettings(**{name: value})
+
+    def test_rejects_unknown_method(self):
+        with pytest.raises(ValueError, match="method"):
+            IntegratorSettings(method="euler")
+
+
 class TestIntegrateLinear:
+    def test_run_counters(self):
+        traj = integrate_linear(-np.eye(2), np.ones(2), 1.0,
+                                IntegratorSettings(method="rk4", step=0.1))
+        assert traj.meta["steps_accepted"] == 10
+        assert traj.meta["f_evals"] == 41
+        traj = integrate_linear(-np.eye(2), np.ones(2), 1.0)
+        meta = traj.meta
+        assert meta["f_evals"] == 1 + 6 * (meta["steps_accepted"] + meta["steps_rejected"])
+
+
     def test_zero_matrix(self):
         traj = integrate_linear(np.zeros((2, 2)), np.array([0.3, -0.7]), 5.0)
         assert np.abs(traj.states - np.array([0.3, -0.7])).max() == 0.0
