@@ -23,7 +23,6 @@ tests and in ``tdsim validate``.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -50,6 +49,10 @@ __all__ = [
 
 EIGENVALUE_EPS = 1e-9
 AMPLITUDE_EPS = 1e-3
+# Bisection width of the diagonal fixed-point roots.
+BRANCH_TOL = 1e-12
+# Relative tolerance of the reference ODE solution in the convergence experiment.
+REFERENCE_RTOL = 1e-8
 # Off-diagonal start used for asymptotic orbit runs; any generic point works.
 _ORBIT_X0 = (0.55, 0.5, 0.45)
 
@@ -107,12 +110,12 @@ def _branch_function(J: float, y: float) -> float:
     return math.tanh(2.0 * J * y) + 2.0 * y
 
 
-def fixed_point_branch(J: float, tol: float = 1e-12) -> list[float]:
+def fixed_point_branch(J: float) -> list[float]:
     """Diagonal fixed-point offsets: roots y of sinh(2Jy) + 2y cosh(2Jy) = 0.
 
     Returns {-y*, 0, +y*} for J < -1 and {0} otherwise; the positive root is
-    found by bisection on (0, 1/2) exploiting oddness.  Offsets map to
-    densities through x = 1/2 + y.
+    found by bisection on (0, 1/2) to :data:`BRANCH_TOL`, exploiting
+    oddness.  Offsets map to densities through x = 1/2 + y.
     """
     if not math.isfinite(J):
         raise ValueError("J must be finite")
@@ -123,7 +126,7 @@ def fixed_point_branch(J: float, tol: float = 1e-12) -> list[float]:
         # Root indistinguishable from zero: J is within float noise of -1.
         return [0.0]
     hi = 0.5
-    while hi - lo > tol:
+    while hi - lo > BRANCH_TOL:
         mid = 0.5 * (lo + hi)
         if _branch_function(J, mid) < 0.0:
             lo = mid
@@ -173,11 +176,7 @@ def orbit_extrema(traj: Trajectory, t_start: float, t_end: float):
     return vals.min(axis=0), vals.max(axis=0)
 
 
-def classify(
-    J: float,
-    delta: float,
-    settings: ode.IntegratorSettings | None = None,
-) -> BifurcationRecord:
+def classify(J: float, delta: float) -> BifurcationRecord:
     """Classify the flow at (J, delta) from the closed-form spectrum.
 
     Rules (eps = 1e-9 on real parts): all negative -> stable-point; real
@@ -204,9 +203,8 @@ def classify(
         return BifurcationRecord(J, delta, spectrum, "bistable", points)
     if pair_re > eps and pair_im != 0.0:
         spec = LoopSpec.with_half_j(J=J, delta=delta, N=1)
-        settings = settings or ode.IntegratorSettings()
         horizon = ode.BURN_IN_TIME + ode.OBSERVATION_TIME
-        traj = ode.integrate(spec, np.array(_ORBIT_X0), horizon, settings)
+        traj = ode.integrate(spec, np.array(_ORBIT_X0), horizon)
         omin, omax = orbit_extrema(traj, ode.BURN_IN_TIME, horizon)
         if float(np.max(omax - omin)) <= AMPLITUDE_EPS:
             raise RuntimeError(
@@ -221,9 +219,9 @@ def classify(
     return BifurcationRecord(J, delta, spectrum, "degenerate", (symmetric,))
 
 
-def scan(J_grid, delta: float, settings=None) -> list[BifurcationRecord]:
+def scan(J_grid, delta: float) -> list[BifurcationRecord]:
     """Classify every J in the grid at fixed delta (the diagram dataset)."""
-    return [classify(float(J), delta, settings) for J in J_grid]
+    return [classify(float(J), delta) for J in J_grid]
 
 
 def rotation_matrix() -> np.ndarray:
@@ -288,13 +286,6 @@ class ConvergenceResult:
         return [r.median for r in self.rows]
 
 
-def _replica_sup(args) -> float:
-    spec, x0, t, run_seed, ref_times, ref_states = args
-    ref = Trajectory(ref_times, ref_states, kind="deterministic")
-    traj = jump.ssa_simulate(spec, x0, t, seed=run_seed, thinning=1)
-    return jump.sup_distance(traj, ref, t)
-
-
 def convergence_experiment(
     base: LoopSpec,
     N_values,
@@ -302,18 +293,14 @@ def convergence_experiment(
     t: float,
     replicas: int,
     seed: int,
-    *,
-    rtol: float = 1e-8,
-    workers: int = 1,
 ) -> ConvergenceResult:
     """Measure how fast stochastic paths approach the deterministic one.
 
     For each reservoir size N, ``replicas`` independent paths start from the
-    grid point nearest x0 and their sup-distance to the rtol-accurate ODE
-    solution on [0, t] is summarized by median and quartiles; whether the
-    medians decrease in N is for the caller to judge.  Replica seeds derive
-    from (seed, N index, replica index); ``workers`` > 1 runs replicas in a
-    process pool, ordered deterministically either way.
+    grid point nearest x0 and their sup-distance to the
+    :data:`REFERENCE_RTOL`-accurate ODE solution on [0, t] is summarized by
+    median and quartiles; whether the medians decrease in N is for the caller
+    to judge.  Replica seeds derive from (seed, N index, replica index).
     """
     if replicas < 0:
         raise ValueError("replicas must be non-negative")
@@ -321,7 +308,8 @@ def convergence_experiment(
     N_values = [int(v) for v in N_values]
     if replicas == 0 or len(N_values) == 0:
         return ConvergenceResult(rows=(), slope=None)
-    settings = ode.IntegratorSettings(method="rk45", rtol=rtol, atol=1e-10, sample_dt=1e-3)
+    settings = ode.IntegratorSettings(method="rk45", rtol=REFERENCE_RTOL, atol=1e-10,
+                                      sample_dt=1e-3)
     reference = ode.integrate(replace(base, N=max(N_values)), x0, t, settings)
     rows = []
     for p, N in enumerate(N_values):
@@ -329,15 +317,10 @@ def convergence_experiment(
         grid_x0 = DensityState.from_counts(
             [int(round(v * N)) for v in x0], int(N)
         )
-        tasks = [
-            (spec, grid_x0, t, jump.derive_seed(seed, p, r), reference.times, reference.states)
-            for r in range(replicas)
-        ]
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                sups = list(pool.map(_replica_sup, tasks, chunksize=8))
-        else:
-            sups = [_replica_sup(task) for task in tasks]
+        sups = []
+        for r in range(replicas):
+            traj = jump.ssa_simulate(spec, grid_x0, t, jump.derive_seed(seed, p, r), thinning=1)
+            sups.append(jump.sup_distance(traj, reference, t))
         q25, med, q75 = np.percentile(sups, [25, 50, 75])
         rows.append(ConvergenceRow(N=int(N), median=float(med), q25=float(q25), q75=float(q75)))
     slope = None

@@ -7,16 +7,13 @@ Floats are serialized with shortest round-trip precision, so a rerun with
 the same configuration and seed reproduces the file byte for byte.
 
 Exit codes: 0 success, 1 runtime or check failure, 2 configuration error
-(the message names the offending field).  The TDSIM_THREADS environment
-variable sets the worker processes of ``converge`` (an integer >= 1,
-default 1); no other module reads it.
+(the message names the offending field).
 """
 from __future__ import annotations
 
 import argparse
 import json
 import math
-import os
 import secrets
 import sys
 
@@ -101,18 +98,6 @@ def _build_spec(args) -> LoopSpec:
 def _check_t_end(t_end: float):
     if not (math.isfinite(t_end) and t_end >= 0):
         raise ConfigError("t-end: must be finite and non-negative")
-
-
-def _workers() -> int:
-    """Worker processes from TDSIM_THREADS (default 1)."""
-    raw = os.environ.get("TDSIM_THREADS", "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ConfigError(f"TDSIM_THREADS: expected an integer >= 1, got {raw!r}")
-    return workers
 
 
 def _resolve_seed(args) -> int:
@@ -301,17 +286,17 @@ def cmd_bifurcate(args) -> int:
 def cmd_converge(args) -> int:
     if not args.N_list:
         raise ConfigError("N: at least one reservoir size is required")
+    if min(args.N_list) < 1:
+        raise ConfigError("N: every reservoir size must be >= 1")
     if args.replicas < 1:
         raise ConfigError("replicas: must be >= 1")
     _check_t_end(args.t_end)
-    workers = _workers()
     seed = _resolve_seed(args)
     args.N = args.N_list[0]  # base spec; the sweep replaces N per entry
     base = _build_spec(args)
     x0 = _parse_x0(args.x0, base.k)
     result = analysis.convergence_experiment(
-        base, args.N_list, np.array(x0), args.t_end, args.replicas, seed,
-        workers=workers,
+        base, args.N_list, np.array(x0), args.t_end, args.replicas, seed
     )
     config = _common_config(
         args, base, t_end=float(args.t_end), seed=seed, x0=args.x0,
@@ -326,7 +311,7 @@ def cmd_converge(args) -> int:
 
 def _validate_checks(spec: LoopSpec, seed: int):
     """Run the verification battery; yields (name, residual, threshold, status)."""
-    rng = np.random.default_rng(seed)
+    rng = jump._stream(seed)
 
     if spec.k == 3 and spec.k * spec.N <= micro.ENUMERATION_LIMIT:
         lumped = micro.lumped_density_generator(spec)

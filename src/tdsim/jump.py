@@ -46,6 +46,11 @@ def derive_seed(seed: int, param_index: int, replica_index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+def _stream(seed: int) -> np.random.Generator:
+    """The PCG64 generator of one run, seeded through ``SeedSequence(seed)``."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(seed))))
+
+
 def direct_step(spec: LoopSpec):
     """Direct-method step on counts: (n, e, u) -> (e / total rate, channel).
 
@@ -196,7 +201,7 @@ def ssa_simulate(
     if stride < 1:
         raise ValueError("thinning stride must be >= 1")
 
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(seed))))
+    rng = _stream(seed)
     n = list(x0.counts)
     if spec.k == 3:
         times, count_states, event = _simulate_counts_3(spec, n, t_end, rng, stride)

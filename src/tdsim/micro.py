@@ -40,6 +40,9 @@ __all__ = [
 ]
 
 ENUMERATION_LIMIT = 20
+# Largest rate difference between members of one count class that
+# :func:`lumped_density_generator` accepts as lumpable.
+LUMPING_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -243,13 +246,13 @@ def density_generator(spec: LoopSpec) -> np.ndarray:
     return q
 
 
-def lumped_density_generator(spec: LoopSpec, tol: float = 1e-9) -> np.ndarray:
+def lumped_density_generator(spec: LoopSpec) -> np.ndarray:
     """Project :func:`generator_matrix` onto count vectors.
 
     For every source configuration the outgoing rates are summed over the
     target count class; all representatives of a count class must agree
     (the chain is lumpable because rates depend only on counts), which is
-    verified to ``tol``.
+    verified to :data:`LUMPING_TOL`.
     """
     _require_enumerable(spec)
     N = spec.N
@@ -269,8 +272,8 @@ def lumped_density_generator(spec: LoopSpec, tol: float = 1e-9) -> np.ndarray:
     for cls in range(nclasses):
         members = np.flatnonzero(class_of == cls)  # never empty: C(N, n_i) >= 1
         rows = per_config[members]
-        if np.max(np.abs(rows - rows[0])) > tol:
-            raise AssertionError(f"count class {cls} is not lumpable to {tol}")
+        if np.max(np.abs(rows - rows[0])) > LUMPING_TOL:
+            raise AssertionError(f"count class {cls} is not lumpable to {LUMPING_TOL}")
         lumped[cls] = rows[0]
     return lumped
 
@@ -318,10 +321,13 @@ def micro_simulate(
     if not math.isfinite(t_end) or t_end < 0:
         raise ValueError(f"t_end must be finite and non-negative, got {t_end!r}")
     N = spec.N
-    spins = sigma0.spins.copy()
     n = list(int(v) for v in sigma0.counts())
+    # Per type, the positions of its -1 sites and of its +1 sites; a flip
+    # swap-removes a uniformly drawn position from one pool into the other.
+    pools = [[np.flatnonzero(row == -1).tolist(), np.flatnonzero(row == 1).tolist()]
+             for row in sigma0.spins]
     step = jump.direct_step(spec)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(seed))))
+    rng = jump._stream(seed)
 
     times = [0.0]
     states = [tuple(c / N for c in n)]
@@ -333,11 +339,12 @@ def micro_simulate(
         if t_next >= t_end:
             break
         i = chosen >> 1
-        want = -1 if (chosen & 1) == 0 else 1  # current spin of the flipped site
-        eligible = np.flatnonzero(spins[i] == want)
-        pos = int(eligible[rng.integers(len(eligible))])
-        spins[i, pos] = -want
-        n[i] += 1 if want == -1 else -1
+        down = chosen & 1  # the flipped site is -1 for an up channel, +1 for a down one
+        src, dst = pools[i][down], pools[i][1 - down]
+        pick = int(rng.integers(len(src)))
+        src[pick], src[-1] = src[-1], src[pick]
+        dst.append(src.pop())
+        n[i] += -1 if down else 1
         t = t_next
         times.append(t)
         states.append(tuple(c / N for c in n))

@@ -239,7 +239,7 @@ def integrate(
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (spec.k,):
         raise ValueError(f"x0 must have length k={spec.k}")
-    if np.any(x0 < 0) or np.any(x0 > 1):
+    if not np.all((0 <= x0) & (x0 <= 1)):  # NaN fails both comparisons
         raise ValueError("x0 must lie in [0, 1]^k")
     meta = {"spec": spec, "settings": settings, "t_end": float(t_end)}
     return _integrate_field(field_closure(spec), x0.tolist(), t_end, settings, meta)

@@ -306,10 +306,3 @@ class TestConvergenceExperiment:
         assert [row.N for row in result.rows] == [500, 50]
         assert result.rows[1].median > result.rows[0].median
         assert result.slope is not None and result.slope < 0
-
-    def test_worker_pool_matches_serial(self):
-        base = LoopSpec(J=1.0, delta=0.3, kappa=(0.5,) * 3, N=100)
-        args = (base, [60, 240], (0.8, 0.2, 0.5), 1.0)
-        serial = convergence_experiment(*args, replicas=12, seed=5, workers=1)
-        pooled = convergence_experiment(*args, replicas=12, seed=5, workers=2)
-        assert serial == pooled

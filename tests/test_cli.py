@@ -1,10 +1,15 @@
 """Command-line interface: outputs, determinism, exit codes, round trips."""
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tdsim
 from tdsim import ode
 from tdsim.cli import MAX_GRID_POINTS, MAX_ODE_NODES, _parse_grid, main, read_dataset
 
@@ -176,6 +181,15 @@ class TestConverge:
         assert rows[1][1] < rows[0][1]
         assert config["slope"] < 0
 
+    def test_ignores_tdsim_threads(self, tmp_path, monkeypatch):
+        args = ["converge", "--N", "50", "--replicas", "4", "--t-end", "1", "--seed", "4"]
+        plain = tmp_path / "plain.csv"
+        with_env = tmp_path / "with_env.csv"
+        assert run(args + ["--out", str(plain)]) == 0
+        monkeypatch.setenv("TDSIM_THREADS", "two")
+        assert run(args + ["--out", str(with_env)]) == 0
+        assert with_env.read_bytes() == plain.read_bytes()
+
 
 class TestValidate:
     def test_default_battery_passes(self, tmp_path, capsys):
@@ -227,8 +241,9 @@ class TestConfigErrors:
             (["ode", "--t-end", "-1"], None, "t-end"),
             (["converge", "--seed", "1", "--N", "50", "--t-end", "-1"], None, "t-end"),
             (["converge", "--seed", "1", "--N", "50", "--t-end", "nan"], None, "t-end"),
-            (["converge", "--seed", "1", "--N", "50"], "two", "TDSIM_THREADS"),
-            (["converge", "--seed", "1", "--N", "50"], "0", "TDSIM_THREADS"),
+            (["converge", "--seed", "1", "--N", "50", "--N", "0"], None, "N"),
+            # The environment is not read: the bad N is named.
+            (["converge", "--seed", "1", "--N", "0", "--N", "50"], "two", "N"),
             (["bifurcate", "--grid", "0:1e9:1e-9"], None, "grid"),
             (["bifurcate", "--grid", "0:1e308:1e-308"], None, "grid"),
             (["ode", "--method", "rk4", "--step", "nan"], None, "step"),
@@ -286,6 +301,16 @@ class TestConfigErrors:
 
     def test_grid_at_the_point_limit_is_accepted(self):
         assert len(_parse_grid(f"0:{MAX_GRID_POINTS - 1}:1")) == MAX_GRID_POINTS
+
+
+def test_import_loads_no_process_pool():
+    src = Path(tdsim.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = ("import sys, tdsim.cli; "
+            "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
 
 
 class TestRoundTrip:

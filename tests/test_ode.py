@@ -168,8 +168,9 @@ class TestIntegrate:
 
     def test_rejects_bad_start(self):
         spec = LoopSpec.with_half_j(J=1.0, delta=0.3, N=10)
-        with pytest.raises(ValueError):
-            integrate(spec, np.array([1.2, 0.5, 0.5]), 1.0)
+        for x0 in ([1.2, 0.5, 0.5], [math.nan, 0.5, 0.5]):
+            with pytest.raises(ValueError, match="x0"):
+                integrate(spec, np.array(x0), 1.0)
 
 
 class TestIntegratorSettings:
