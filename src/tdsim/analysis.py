@@ -300,7 +300,8 @@ def convergence_experiment(
     grid point nearest x0 and their sup-distance to the
     :data:`REFERENCE_RTOL`-accurate ODE solution on [0, t] is summarized by
     median and quartiles; whether the medians decrease in N is for the caller
-    to judge.  Replica seeds derive from (seed, N index, replica index).
+    to judge.  Their log-log slope is None unless two or more medians are all
+    positive.  Replica seeds derive from (seed, N index, replica index).
     """
     if replicas < 0:
         raise ValueError("replicas must be non-negative")
@@ -324,7 +325,7 @@ def convergence_experiment(
         q25, med, q75 = np.percentile(sups, [25, 50, 75])
         rows.append(ConvergenceRow(N=int(N), median=float(med), q25=float(q25), q75=float(q75)))
     slope = None
-    if len(rows) >= 2:
+    if len(rows) >= 2 and min(r.median for r in rows) > 0:
         logn = np.log([r.N for r in rows])
         logm = np.log([r.median for r in rows])
         slope = float(np.polyfit(logn, logm, 1)[0])

@@ -8,9 +8,10 @@ then pick the channel in proportion to its rate.  This generates the same
 process law as the random-time-change construction with one Poisson clock
 per jump direction; the direct method is simply the cheaper sampler.
 
-:func:`direct_step` is the one count-level step for any k, shared with the
-per-site sampler in :mod:`tdsim.micro`; three types take an unrolled loop
-with the same law and stream use, the hot path of ensemble runs.
+:func:`direct_step` is the one count-level step for any k; three types take
+an unrolled loop with the same law and stream use, the hot path of ensemble
+runs.  Both loops read their variates from :func:`_variates`.  The per-site
+sampler :func:`tdsim.micro.micro_simulate` runs on :func:`ssa_simulate`.
 
 Randomness: each run owns a PCG64 generator seeded through
 ``numpy.random.SeedSequence(seed)``.  Ensemble helpers derive per-replica
@@ -20,6 +21,7 @@ order.
 """
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -49,6 +51,18 @@ def derive_seed(seed: int, param_index: int, replica_index: int) -> int:
 def _stream(seed: int) -> np.random.Generator:
     """The PCG64 generator of one run, seeded through ``SeedSequence(seed)``."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(seed))))
+
+
+def _variates(rng: np.random.Generator):
+    """Endless (exponential, uniform) pairs; each block draws its
+    exponentials, then its uniforms."""
+    def blocks():
+        size = _FIRST_BATCH
+        while True:
+            yield zip(rng.standard_exponential(size).tolist(), rng.random(size).tolist())
+            size = _BATCH
+
+    return itertools.chain.from_iterable(blocks())
 
 
 def direct_step(spec: LoopSpec):
@@ -92,25 +106,15 @@ def direct_step(spec: LoopSpec):
 def _simulate_counts_generic(spec, n, t_end, rng, stride):
     """Direct-method loop for any k.  Returns (times, count tuples, events)."""
     step = direct_step(spec)
-    exps = rng.standard_exponential(_FIRST_BATCH).tolist()
-    unis = rng.random(_FIRST_BATCH).tolist()
-    batch = _FIRST_BATCH
-    cursor = 0
     times = [0.0]
     states = [tuple(n)]
     t = 0.0
     event = 0
-    while True:
-        if cursor >= batch:
-            batch = _BATCH
-            exps = rng.standard_exponential(batch).tolist()
-            unis = rng.random(batch).tolist()
-            cursor = 0
-        dt, chosen = step(n, exps[cursor], unis[cursor])
+    for e, u in _variates(rng):
+        dt, chosen = step(n, e, u)
         t_next = t + dt
         if t_next >= t_end:
             break
-        cursor += 1
         n[chosen >> 1] += 1 if (chosen & 1) == 0 else -1
         t = t_next
         event += 1
@@ -129,15 +133,11 @@ def _simulate_counts_3(spec, n, t_end, rng, stride):
     hJ = (1.0 - spec.delta) * spec.J
     exp = math.exp
     n0, n1, n2 = n
-    exps = rng.standard_exponential(_FIRST_BATCH).tolist()
-    unis = rng.random(_FIRST_BATCH).tolist()
-    batch = _FIRST_BATCH
-    cursor = 0
     times = [0.0]
     states = [(n0, n1, n2)]
     t = 0.0
     event = 0
-    while True:
+    for e, u in _variates(rng):
         e0 = 2.0 * (-dJ * (n2 * invN) - hJ * (n1 * invN) + k0)
         e1 = 2.0 * (-dJ * (n0 * invN) - hJ * (n2 * invN) + k1)
         e2 = 2.0 * (-dJ * (n1 * invN) - hJ * (n0 * invN) + k2)
@@ -148,16 +148,10 @@ def _simulate_counts_3(spec, n, t_end, rng, stride):
         u2 = (N - n2) * exp(e2)
         d2 = n2 * exp(-e2)
         tot = u0 + d0 + u1 + d1 + u2 + d2
-        if cursor >= batch:
-            batch = _BATCH
-            exps = rng.standard_exponential(batch).tolist()
-            unis = rng.random(batch).tolist()
-            cursor = 0
-        t_next = t + exps[cursor] / tot
+        t_next = t + e / tot
         if t_next >= t_end:
             break
-        v = unis[cursor] * tot
-        cursor += 1
+        v = u * tot
         if v < u0:
             n0 += 1
         elif v < u0 + d0:

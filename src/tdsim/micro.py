@@ -17,13 +17,12 @@ another constant.  All exact enumerations are guarded by k*N <= 20.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import jump
-from .model import LoopSpec, _exponents, channel_rates
+from .model import DensityState, LoopSpec, _exponents, channel_rates
 from .trajectory import Trajectory
 
 __all__ = [
@@ -308,49 +307,17 @@ def micro_simulate(
     t_end: float,
     seed: int,
 ) -> Trajectory:
-    """Exact event-driven run of the per-site flip dynamics.
+    """Exact run of the per-site flip dynamics, projected to densities.
 
-    Every event flips one site; the returned trajectory is the projected
-    density path (counts / N) with every event recorded.  The per-type
-    aggregate flip rates equal N * beta of the density process, so the
-    event type comes from :func:`tdsim.jump.direct_step` and only the
-    flipped site is drawn here; the projection has the density process law.
+    The flip rates depend on the configuration only through its per-type
+    counts, so the projection is the density jump process (the chain is
+    lumpable, see :func:`lumped_density_generator`).  It is sampled as the
+    :func:`tdsim.jump.ssa_simulate` run from the counts of ``sigma0`` with
+    ``thinning=1``; ``meta["level"]`` is ``"micro"``.
     """
     if sigma0.spec != spec:
         raise ValueError("sigma0 belongs to a different spec")
-    if not math.isfinite(t_end) or t_end < 0:
-        raise ValueError(f"t_end must be finite and non-negative, got {t_end!r}")
-    N = spec.N
-    n = list(int(v) for v in sigma0.counts())
-    # Per type, the positions of its -1 sites and of its +1 sites; a flip
-    # swap-removes a uniformly drawn position from one pool into the other.
-    pools = [[np.flatnonzero(row == -1).tolist(), np.flatnonzero(row == 1).tolist()]
-             for row in sigma0.spins]
-    step = jump.direct_step(spec)
-    rng = jump._stream(seed)
-
-    times = [0.0]
-    states = [tuple(c / N for c in n)]
-    t = 0.0
-    while True:
-        # Scalar draws per event: exponential, uniform, then the site pick.
-        dt, chosen = step(n, rng.standard_exponential(), rng.random())
-        t_next = t + dt
-        if t_next >= t_end:
-            break
-        i = chosen >> 1
-        down = chosen & 1  # the flipped site is -1 for an up channel, +1 for a down one
-        src, dst = pools[i][down], pools[i][1 - down]
-        pick = int(rng.integers(len(src)))
-        src[pick], src[-1] = src[-1], src[pick]
-        dst.append(src.pop())
-        n[i] += -1 if down else 1
-        t = t_next
-        times.append(t)
-        states.append(tuple(c / N for c in n))
-
-    if times[-1] < t_end:
-        times.append(t_end)
-        states.append(tuple(c / N for c in n))
-    meta = {"spec": spec, "seed": int(seed), "t_end": float(t_end), "level": "micro"}
-    return Trajectory(np.array(times), np.array(states), kind="stochastic", meta=meta)
+    state0 = DensityState.from_counts(sigma0.counts().tolist(), spec.N)
+    traj = jump.ssa_simulate(spec, state0, t_end, seed, thinning=1)
+    traj.meta["level"] = "micro"
+    return traj

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +52,25 @@ class TestSimulate:
         assert config["level"] == "micro"
         counts = np.array([r[1:] for r in rows]) * 30
         assert np.abs(counts - np.round(counts)).max() < 1e-9
+
+    @pytest.mark.parametrize("model", [
+        ["--J", "2.0", "--delta", "1.0", "--N", "20", "--seed", "5"],
+        ["--k", "4", "--J", "1.3", "--delta", "0.2", "--N", "15", "--seed", "9",
+         "--x0", "0.2,0.4,0.6,0.8"],
+    ])
+    def test_micro_level_is_density_level_every_event(self, tmp_path, model):
+        # The projected spin chain is the density process, sampled by the same
+        # loop from the same stream, so only the level line differs.
+        micro, density = tmp_path / "micro.csv", tmp_path / "density.csv"
+        base = ["simulate", "--t-end", "0.5"] + model
+        assert run(base + ["--level", "micro", "--out", str(micro)]) == 0
+        assert run(base + ["--thinning", "1", "--out", str(density)]) == 0
+        lines = micro.read_text().splitlines()
+        assert "# level = micro" in lines
+        assert [ln.replace("micro", "density") for ln in lines] == (
+            density.read_text().splitlines()
+        )
+        assert len(lines) > 20
 
     def test_config_error_no_file(self, tmp_path):
         out = tmp_path / "never.csv"
@@ -181,6 +201,25 @@ class TestConverge:
         assert rows[1][1] < rows[0][1]
         assert config["slope"] < 0
 
+    def test_zero_medians_give_no_slope(self, tmp_path):
+        # At t = 0 every sup-distance is 0, so the log-log fit is undefined.
+        args = ["converge", "--t-end", "0", "--N", "10", "--N", "100",
+                "--replicas", "2", "--seed", "1"]
+        csv, js = tmp_path / "conv.csv", tmp_path / "conv.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(args + ["--out", str(csv)]) == 0
+            assert run(args + ["--format", "json", "--out", str(js)]) == 0
+        config, _, rows = read_dataset(str(csv))
+        assert [row[1] for row in rows] == [0.0, 0.0]
+        assert "slope" not in config
+
+        def reject(name):
+            raise ValueError(f"not JSON: {name}")
+
+        payload = json.loads(js.read_text(), parse_constant=reject)
+        assert "slope" not in payload["config"]
+
     def test_ignores_tdsim_threads(self, tmp_path, monkeypatch):
         args = ["converge", "--N", "50", "--replicas", "4", "--t-end", "1", "--seed", "4"]
         plain = tmp_path / "plain.csv"
@@ -213,6 +252,16 @@ class TestValidate:
         _, _, rows = read_dataset(str(out))
         statuses = {row[0]: row[3] for row in rows}
         assert "skipped" in statuses["micro-macro generator equivalence"]
+
+    def test_micro_checks_skipped_for_k_other_than_3(self, tmp_path):
+        # k*N = 8 is within the enumeration guard; the coupling table is not.
+        out = tmp_path / "validate.csv"
+        code = run(["validate", "--k", "4", "--N", "2", "--seed", "2", "--out", str(out)])
+        assert code == 0
+        _, _, rows = read_dataset(str(out))
+        statuses = {row[0]: row[3] for row in rows}
+        assert statuses["micro-macro generator equivalence"] == "skipped (k != 3)"
+        assert statuses["reversibility residual at config"] == "skipped (k != 3)"
 
     def test_decoupled_config_residuals_tiny(self, tmp_path):
         out = tmp_path / "validate.csv"

@@ -36,6 +36,15 @@ CASES = {
         "simulate", "--k", "5", "--J", "0.8", "--delta", "0.6", "--N", "30",
         "--t-end", "1", "--seed", "3", "--x0", "0.2,0.4,0.5,0.6,0.8",
     ],
+    # The next two cross the second RNG block refill (event 256 + 8192).
+    "simulate_k3_N5000.csv": [
+        "simulate", "--J", "2.5", "--delta", "0", "--N", "5000", "--t-end", "1",
+        "--seed", "13",
+    ],
+    "simulate_k5_N2000.csv": [
+        "simulate", "--k", "5", "--J", "0.8", "--delta", "0.6", "--N", "2000",
+        "--t-end", "1", "--seed", "3", "--x0", "0.2,0.4,0.5,0.6,0.8",
+    ],
     "simulate_k2.csv": [
         "simulate", "--k", "2", "--J", "-1.5", "--delta", "0.25", "--kappa", "0.3,-0.2",
         "--N", "40", "--t-end", "1", "--seed", "5", "--x0", "0.3,0.7",

@@ -254,6 +254,16 @@ class TestMicroSimulate:
         assert np.array_equal(a.times, b.times)
         assert np.array_equal(a.states, b.states)
 
+    def test_meta_counts_events(self):
+        spec = LoopSpec.with_half_j(J=2.0, delta=1.0, N=20)
+        sigma0 = SpinConfiguration.from_counts(spec, (10, 10, 10))
+        traj = micro_simulate(spec, sigma0, 0.5, seed=5)
+        # The run ends between events: the start row, one row per event and
+        # the final row at t_end.
+        assert traj.times[-2] < traj.times[-1] == 0.5
+        assert traj.meta["events"] == len(traj) - 2 > 0
+        assert traj.meta["level"] == "micro"
+
     def test_aggregate_rates_match_jump_process(self):
         spec = LoopSpec(J=2.0, delta=1.0, kappa=(1.0,) * 3, N=50)
         sigma0 = SpinConfiguration.from_counts(spec, (25, 25, 25))
