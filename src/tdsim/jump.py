@@ -10,8 +10,14 @@ per jump direction; the direct method is simply the cheaper sampler.
 
 :func:`direct_step` is the one count-level step for any k; three types take
 an unrolled loop with the same law and stream use, the hot path of ensemble
-runs.  Both loops read their variates from :func:`_variates`.  The per-site
-sampler :func:`tdsim.micro.micro_simulate` runs on :func:`ssa_simulate`.
+runs.  An event moves one type, and only its two neighbours' exponents
+read that count, so the k = 3 loop recomputes just those two (the
+dependency-graph idea of Gibson & Bruck, J. Phys. Chem. A 104, 2000).
+Both loops read their variates from :func:`_variates` and record a path
+as a channel stream, one index per event (channel 2i raises type i, 2i + 1
+lowers it); :func:`ssa_simulate` rebuilds the recorded counts from it in
+one numpy pass per type.  The per-site sampler
+:func:`tdsim.micro.micro_simulate` runs on :func:`ssa_simulate`.
 
 Randomness: each run owns a PCG64 generator seeded through
 ``numpy.random.SeedSequence(seed)``.  Ensemble helpers derive per-replica
@@ -23,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from array import array
 
 import numpy as np
 
@@ -53,16 +60,28 @@ def _stream(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(seed))))
 
 
-def _variates(rng: np.random.Generator):
+def _variates(rng: np.random.Generator, blocks: list):
     """Endless (exponential, uniform) pairs; each block draws its
-    exponentials, then its uniforms."""
-    def blocks():
+    exponentials, then its uniforms, and appends its size to ``blocks``."""
+    def draw():
         size = _FIRST_BATCH
         while True:
+            blocks.append(size)
             yield zip(rng.standard_exponential(size).tolist(), rng.random(size).tolist())
             size = _BATCH
 
-    return itertools.chain.from_iterable(blocks())
+    return itertools.chain.from_iterable(draw())
+
+
+def _channel_dtype(k: int) -> np.dtype:
+    """Smallest unsigned type that holds every channel index 0 .. 2k - 1."""
+    return np.min_scalar_type(2 * k - 1)
+
+
+def _channel_buffer(k: int):
+    """Empty channel stream: a bytearray (the fastest to append to) while
+    the indices fit in a byte, else an array of the wider type."""
+    return bytearray() if 2 * k <= 256 else array(_channel_dtype(k).char)
 
 
 def direct_step(spec: LoopSpec):
@@ -103,29 +122,32 @@ def direct_step(spec: LoopSpec):
     return step
 
 
-def _simulate_counts_generic(spec, n, t_end, rng, stride):
-    """Direct-method loop for any k.  Returns (times, count tuples, events)."""
+def _simulate_counts_generic(spec, n, t_end, pairs, stride):
+    """Direct-method loop for any k.  Returns (recorded times, channel stream)."""
     step = direct_step(spec)
     times = [0.0]
-    states = [tuple(n)]
+    channels = _channel_buffer(spec.k)
+    record = channels.append
     t = 0.0
     event = 0
-    for e, u in _variates(rng):
+    for e, u in pairs:
         dt, chosen = step(n, e, u)
         t_next = t + dt
         if t_next >= t_end:
             break
         n[chosen >> 1] += 1 if (chosen & 1) == 0 else -1
+        record(chosen)
         t = t_next
         event += 1
         if event % stride == 0:
             times.append(t)
-            states.append(tuple(n))
-    return times, states, event
+    return times, channels
 
 
-def _simulate_counts_3(spec, n, t_end, rng, stride):
-    """Unrolled three-type loop; same law and stream use as the generic one."""
+def _simulate_counts_3(spec, n, t_end, pairs, stride):
+    """Unrolled three-type loop; same law and stream use as the generic one.
+    An event moves one type, which only the other two types' exponents read,
+    so only theirs are recomputed."""
     N = spec.N
     invN = 1.0 / N
     k0, k1, k2 = spec.kappa
@@ -134,42 +156,87 @@ def _simulate_counts_3(spec, n, t_end, rng, stride):
     exp = math.exp
     n0, n1, n2 = n
     times = [0.0]
-    states = [(n0, n1, n2)]
+    channels = _channel_buffer(3)
+    record = channels.append
     t = 0.0
     event = 0
-    for e, u in _variates(rng):
-        e0 = 2.0 * (-dJ * (n2 * invN) - hJ * (n1 * invN) + k0)
-        e1 = 2.0 * (-dJ * (n0 * invN) - hJ * (n2 * invN) + k1)
-        e2 = 2.0 * (-dJ * (n1 * invN) - hJ * (n0 * invN) + k2)
-        u0 = (N - n0) * exp(e0)
-        d0 = n0 * exp(-e0)
-        u1 = (N - n1) * exp(e1)
-        d1 = n1 * exp(-e1)
-        u2 = (N - n2) * exp(e2)
-        d2 = n2 * exp(-e2)
-        tot = u0 + d0 + u1 + d1 + u2 + d2
+    moved = -1
+    for e, u in pairs:
+        if moved != 0:
+            e0 = 2.0 * (-dJ * (n2 * invN) - hJ * (n1 * invN) + k0)
+            p0 = exp(e0)
+            m0 = exp(-e0)
+        if moved != 1:
+            e1 = 2.0 * (-dJ * (n0 * invN) - hJ * (n2 * invN) + k1)
+            p1 = exp(e1)
+            m1 = exp(-e1)
+        if moved != 2:
+            e2 = 2.0 * (-dJ * (n1 * invN) - hJ * (n0 * invN) + k2)
+            p2 = exp(e2)
+            m2 = exp(-e2)
+        u0 = (N - n0) * p0
+        d0 = n0 * m0
+        u1 = (N - n1) * p1
+        d1 = n1 * m1
+        u2 = (N - n2) * p2
+        d2 = n2 * m2
+        s1 = u0 + d0
+        s2 = s1 + u1
+        s3 = s2 + d1
+        s4 = s3 + u2
+        tot = s4 + d2
         t_next = t + e / tot
         if t_next >= t_end:
             break
         v = u * tot
         if v < u0:
             n0 += 1
-        elif v < u0 + d0:
+            moved = 0
+            record(0)
+        elif v < s1:
             n0 -= 1
-        elif v < u0 + d0 + u1:
+            moved = 0
+            record(1)
+        elif v < s2:
             n1 += 1
-        elif v < u0 + d0 + u1 + d1:
+            moved = 1
+            record(2)
+        elif v < s3:
             n1 -= 1
-        elif v < u0 + d0 + u1 + d1 + u2:
+            moved = 1
+            record(3)
+        elif v < s4:
             n2 += 1
+            moved = 2
+            record(4)
         else:
             n2 -= 1
+            moved = 2
+            record(5)
         t = t_next
         event += 1
         if event % stride == 0:
             times.append(t)
-            states.append((n0, n1, n2))
-    return times, states, event
+    return times, channels
+
+
+def _recorded_counts(n0, channels, stride, rows):
+    """Count rows rebuilt from a channel stream: n0, then n0 plus the running
+    sum of +1 (even channel) or -1 (odd channel) on type channel >> 1 after
+    every ``stride``-th event; rows past the last such event repeat it."""
+    k = len(n0)
+    c = np.frombuffer(channels, dtype=_channel_dtype(k))
+    kind = c >> 1
+    sign = 1 - 2 * (c & 1).astype(np.int8)
+    last = len(c) // stride
+    counts = np.empty((rows, k), dtype=np.int64)
+    counts[0] = n0
+    for i in range(k):
+        # One type at a time, so no (events, k) temporary is ever held.
+        steps = np.cumsum(np.where(kind == i, sign, 0), dtype=np.int64)
+        counts[1:last + 1, i] = n0[i] + steps[stride - 1::stride]
+    counts[last + 1:] = counts[last]
+    return counts
 
 
 def ssa_simulate(
@@ -181,9 +248,11 @@ def ssa_simulate(
 ) -> Trajectory:
     """Sample one exact path of the density process on [0, t_end].
 
-    Recording keeps the initial state, every ``thinning``-th event and the
-    final state at t_end (thinning defaults per :func:`default_thinning`).
-    Identical (spec, x0, t_end, seed, thinning) give identical output.
+    Recording keeps the initial state, every ``thinning``-th event and, at
+    t_end, the last recorded state (thinning defaults per
+    :func:`default_thinning`).  Identical (spec, x0, t_end, seed, thinning)
+    give identical output.  ``meta`` counts the ``events`` and the
+    ``rng_blocks`` of variates drawn.
     """
     if not math.isfinite(t_end) or t_end < 0:
         raise ValueError(f"t_end must be finite and non-negative, got {t_end!r}")
@@ -195,25 +264,24 @@ def ssa_simulate(
     if stride < 1:
         raise ValueError("thinning stride must be >= 1")
 
-    rng = _stream(seed)
-    n = list(x0.counts)
-    if spec.k == 3:
-        times, count_states, event = _simulate_counts_3(spec, n, t_end, rng, stride)
-    else:
-        times, count_states, event = _simulate_counts_generic(spec, n, t_end, rng, stride)
+    blocks = []
+    pairs = _variates(_stream(seed), blocks)
+    n0 = x0.counts
+    loop = _simulate_counts_3 if spec.k == 3 else _simulate_counts_generic
+    times, channels = loop(spec, list(n0), t_end, pairs, stride)
     if times[-1] < t_end:
         times.append(t_end)
-        count_states.append(count_states[-1])
 
     meta = {
         "spec": spec,
         "seed": int(seed),
         "t_end": float(t_end),
         "thinning": stride,
-        "events": event,
+        "events": len(channels),
+        "rng_blocks": len(blocks),
     }
-    states = np.asarray(count_states, dtype=float) / spec.N
-    return Trajectory(np.array(times), states, kind="stochastic", meta=meta)
+    counts = _recorded_counts(n0, channels, stride, len(times))
+    return Trajectory(np.array(times), counts / spec.N, kind="stochastic", meta=meta)
 
 
 def sup_distance(a: Trajectory, b: Trajectory, t: float) -> float:
@@ -231,9 +299,9 @@ def sup_distance(a: Trajectory, b: Trajectory, t: float) -> float:
             raise ValueError(
                 f"trajectory on [{traj.times[0]}, {traj.times[-1]}] does not cover [0, {t}]"
             )
-    grid = np.union1d(a.times, b.times)
+    # Duplicate or unsorted points do not change a max, so nothing is sorted.
+    grid = np.concatenate((a.times, b.times, [0.0, t]))
     grid = grid[(grid >= 0.0) & (grid <= t)]
-    grid = np.union1d(grid, [0.0, t])
     best = float(np.max(np.abs(a.value_at(grid) - b.value_at(grid))))
     # Left limits at jump times of any step-function path.
     for step, other in ((a, b), (b, a)):

@@ -253,15 +253,20 @@ class TestValidate:
         statuses = {row[0]: row[3] for row in rows}
         assert "skipped" in statuses["micro-macro generator equivalence"]
 
-    def test_micro_checks_skipped_for_k_other_than_3(self, tmp_path):
-        # k*N = 8 is within the enumeration guard; the coupling table is not.
+    def test_generator_check_runs_for_k_other_than_3(self, tmp_path):
+        # k*N = 8 is within the enumeration guard; only the residual at the
+        # configuration needs the k = 3 coupling table.
         out = tmp_path / "validate.csv"
         code = run(["validate", "--k", "4", "--N", "2", "--seed", "2", "--out", str(out)])
         assert code == 0
         _, _, rows = read_dataset(str(out))
-        statuses = {row[0]: row[3] for row in rows}
-        assert statuses["micro-macro generator equivalence"] == "skipped (k != 3)"
-        assert statuses["reversibility residual at config"] == "skipped (k != 3)"
+        by_name = {row[0]: row for row in rows}
+        _, residual, threshold, status = by_name["micro-macro generator equivalence"]
+        assert status == "pass"
+        assert threshold == 1e-12 and residual < 1e-12
+        assert by_name["reversibility residual at config"][3] == "skipped (k != 3)"
+        skipped = [row[0] for row in rows if row[3].startswith("skipped")]
+        assert skipped == ["reversibility residual at config"]
 
     def test_decoupled_config_residuals_tiny(self, tmp_path):
         out = tmp_path / "validate.csv"

@@ -23,6 +23,113 @@ def birth_death_stationary_mean(N):
     return sum(n * wn for n, wn in enumerate(w)) / (N * total)
 
 
+def _reference_step_3(spec):
+    """The unrolled k = 3 step's arithmetic, every exponent at every event."""
+    N = spec.N
+    invN = 1.0 / N
+    k0, k1, k2 = spec.kappa
+    dJ = spec.delta * spec.J
+    hJ = (1.0 - spec.delta) * spec.J
+
+    def step(n, e, u):
+        n0, n1, n2 = n
+        e0 = 2.0 * (-dJ * (n2 * invN) - hJ * (n1 * invN) + k0)
+        e1 = 2.0 * (-dJ * (n0 * invN) - hJ * (n2 * invN) + k1)
+        e2 = 2.0 * (-dJ * (n1 * invN) - hJ * (n0 * invN) + k2)
+        rates = [
+            (N - n0) * math.exp(e0), n0 * math.exp(-e0),
+            (N - n1) * math.exp(e1), n1 * math.exp(-e1),
+            (N - n2) * math.exp(e2), n2 * math.exp(-e2),
+        ]
+        tot = rates[0]
+        for r in rates[1:]:
+            tot += r
+        v = u * tot
+        acc = 0.0
+        for c, r in enumerate(rates):
+            acc += r
+            if v < acc:
+                return e / tot, c
+        return e / tot, 5
+
+    return step
+
+
+def reference_ssa(spec, x0, t_end, seed, thinning=None):
+    """Plain per-event sampler: recomputes every exponent at every event and
+    keeps a count tuple per recorded event.  Returns (times, states, events)."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+
+    def pairs():
+        size = 256
+        while True:
+            yield from zip(rng.standard_exponential(size).tolist(), rng.random(size).tolist())
+            size = 8192
+
+    stride = default_thinning(spec.N) if thinning is None else thinning
+    step = _reference_step_3(spec) if spec.k == 3 else direct_step(spec)
+    n = list(x0.counts)
+    times, states = [0.0], [tuple(n)]
+    t, event = 0.0, 0
+    for e, u in pairs():
+        dt, c = step(n, e, u)
+        if t + dt >= t_end:
+            break
+        t += dt
+        n[c // 2] += 1 if c % 2 == 0 else -1
+        event += 1
+        if event % stride == 0:
+            times.append(t)
+            states.append(tuple(n))
+    if times[-1] < t_end:
+        times.append(t_end)
+        states.append(states[-1])
+    return np.array(times), np.array(states, dtype=float) / spec.N, event
+
+
+class TestSamplerOracle:
+    @pytest.mark.parametrize("thinning", [1, 7, None])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_bitwise_equal_across_refills(self, k, thinning):
+        # About 10^4 events: past the 256 and the 256 + 8192 variate refills.
+        N = 2000
+        spec = LoopSpec.with_half_j(J=1.3, delta=0.3, N=N, k=k)
+        x0 = DensityState.from_counts([i * N // (k - 1) for i in range(k)], N)
+        traj = ssa_simulate(spec, x0, 12.0 / k, seed=40 + k, thinning=thinning)
+        times, states, events = reference_ssa(spec, x0, 12.0 / k, 40 + k, thinning)
+        assert events > 256 + 8192
+        assert traj.meta["events"] == events
+        assert traj.times.tobytes() == times.tobytes()
+        assert traj.states.tobytes() == states.tobytes()
+
+    @pytest.mark.parametrize("thinning", [1, 7, None])
+    def test_bitwise_equal_beyond_byte_channels(self, thinning):
+        # 2k - 1 = 259 channel indices do not fit in a byte.
+        k = 130
+        spec = LoopSpec(J=1.0, delta=0.3, kappa=(0.1,) * k, N=2, k=k)
+        x0 = DensityState.from_counts([i % 3 for i in range(k)], 2)
+        traj = ssa_simulate(spec, x0, 1.0, seed=5, thinning=thinning)
+        times, states, events = reference_ssa(spec, x0, 1.0, 5, thinning)
+        full = reference_ssa(spec, x0, 1.0, 5, 1)[1]
+        assert np.any(np.diff(full[:, 128:], axis=0) != 0)  # channels above 255 fired
+        assert traj.meta["events"] == events
+        assert traj.times.tobytes() == times.tobytes()
+        assert traj.states.tobytes() == states.tobytes()
+
+    @pytest.mark.parametrize(
+        "k, N, t_end",
+        [(3, 10, 0.0), (3, 10, 2.0), (3, 2000, 2.0), (5, 2000, 1.0), (2, 30, 100.0)],
+    )
+    def test_rng_blocks_count_refills(self, k, N, t_end):
+        # Each event takes one (exponential, uniform) pair and the stopping
+        # draw one more; the first block holds 256 pairs, later ones 8192.
+        spec = LoopSpec.with_half_j(J=1.0, delta=0.3, N=N, k=k)
+        x0 = DensityState.from_counts([N // 2] * k, N)
+        meta = ssa_simulate(spec, x0, t_end, seed=9).meta
+        pairs = meta["events"] + 1
+        assert meta["rng_blocks"] == 1 + math.ceil(max(0, pairs - 256) / 8192)
+
+
 class TestSsaSimulate:
     def test_zero_horizon(self):
         spec = LoopSpec.with_half_j(J=1.0, delta=0.2, N=10)
@@ -158,7 +265,50 @@ class TestDirectStep:
                 assert step(n, 1.0, mid)[1] == c
 
 
+def sup_distance_union1d(a, b, t):
+    """sup_distance over sorted, de-duplicated evaluation points."""
+    grid = np.union1d(a.times, b.times)
+    grid = grid[(grid >= 0.0) & (grid <= t)]
+    grid = np.union1d(grid, [0.0, t])
+    best = float(np.max(np.abs(a.value_at(grid) - b.value_at(grid))))
+    for step, other in ((a, b), (b, a)):
+        if step.kind != "stochastic" or len(step) < 2:
+            continue
+        jumps = step.times[1:]
+        jumps = jumps[(jumps > 0.0) & (jumps <= t)]
+        if len(jumps) == 0:
+            continue
+        idx = np.searchsorted(step.times, jumps, side="right") - 2
+        left_vals = step.states[np.clip(idx, 0, len(step) - 1)]
+        if other.kind == "stochastic":
+            oidx = np.searchsorted(other.times, jumps, side="left") - 1
+            other_vals = other.states[np.clip(oidx, 0, len(other) - 1)]
+        else:
+            other_vals = other.value_at(jumps)
+        best = max(best, float(np.max(np.abs(left_vals - other_vals))))
+    return best
+
+
 class TestSupDistance:
+    def test_matches_sorted_grid_formula(self):
+        spec = LoopSpec(J=1.0, delta=0.3, kappa=(0.5,) * 3, N=200)
+        x0 = DensityState.from_counts((160, 40, 100), 200)
+        ref = ode.integrate(spec, x0.as_array(), 3.0, ode.IntegratorSettings(sample_dt=1e-2))
+        coarse = ode.integrate(spec, x0.as_array(), 3.0)
+        paths = [ssa_simulate(spec, x0, 3.0, seed=s, thinning=th)
+                 for s, th in ((1, 1), (2, 1), (3, 5))]
+        pairs = [(p, det) for p in paths for det in (ref, coarse)]
+        pairs += [(paths[0], paths[1]), (paths[1], paths[2]), (paths[2], paths[0])]
+        # The gap peaks at t itself, which is no node of either path.
+        flat = Trajectory(np.array([0.0, 3.0]), np.zeros((2, 3)), kind="stochastic")
+        ramp = Trajectory(np.array([0.0, 3.0]), np.array([[0.0] * 3, [1.0] * 3]),
+                          kind="deterministic")
+        pairs.append((flat, ramp))
+        for a, b in pairs:
+            for t in (0.0, 1.234, 3.0):
+                assert sup_distance(a, b, t) == sup_distance_union1d(a, b, t)
+                assert sup_distance(b, a, t) == sup_distance_union1d(b, a, t)
+
     def test_identical_paths(self):
         spec = LoopSpec.with_half_j(J=1.0, delta=0.4, N=20)
         x0 = DensityState.from_counts((10, 10, 10), 20)
