@@ -312,16 +312,18 @@ def cmd_converge(args) -> int:
 def _validate_checks(spec: LoopSpec, seed: int):
     """Run the verification battery; yields (name, residual, threshold, status)."""
     rng = jump._stream(seed)
-    # Both exact micro checks enumerate configurations; the residual at the
-    # configuration also needs the k = 3 coupling table.
+    # Both exact micro checks enumerate configurations; the generator check
+    # also holds a dense 2^(kN)-square matrix, and the residual at the
+    # configuration needs the k = 3 coupling table.
     enumerable = spec.k * spec.N <= micro.ENUMERATION_LIMIT
-    if enumerable:
+    if spec.k * spec.N <= micro.GENERATOR_LIMIT:
         lumped = micro.lumped_density_generator(spec)
         dens = micro.density_generator(spec)
         res = float(np.max(np.abs(lumped - dens)))
         yield "micro-macro generator equivalence", res, 1e-12, None
     else:
-        yield "micro-macro generator equivalence", None, 1e-12, "skipped (k*N > 20)"
+        limit = micro.GENERATOR_LIMIT if enumerable else micro.ENUMERATION_LIMIT
+        yield "micro-macro generator equivalence", None, 1e-12, f"skipped (k*N > {limit})"
 
     zero_spec = LoopSpec(J=0.0, delta=spec.delta, kappa=(0.0,) * 3, N=min(spec.N, 2), k=3)
     yield "reversibility residual at J=0", micro.reversibility_residual(zero_spec), 1e-12, None

@@ -39,6 +39,9 @@ __all__ = [
 ]
 
 ENUMERATION_LIMIT = 20
+# Largest k*N at which the verification battery builds the dense generator:
+# it holds 4^(kN) floats, 128 MiB at k*N = 12.
+GENERATOR_LIMIT = 12
 # Largest rate difference between members of one count class that
 # :func:`lumped_density_generator` accepts as lumpable.
 LUMPING_TOL = 1e-9

@@ -268,6 +268,17 @@ class TestValidate:
         skipped = [row[0] for row in rows if row[3].startswith("skipped")]
         assert skipped == ["reversibility residual at config"]
 
+    @pytest.mark.parametrize("args", [["--k", "10"], ["--N", "5"]])
+    def test_generator_check_skipped_above_dense_limit(self, tmp_path, args):
+        # k*N within the enumeration guard but past the dense generator's
+        # bound: the check is skipped instead of allocating 4^(kN) floats.
+        out = tmp_path / "validate.csv"
+        code = run(["validate", *args, "--seed", "2", "--out", str(out)])
+        assert code == 0
+        _, _, rows = read_dataset(str(out))
+        statuses = {row[0]: row[3] for row in rows}
+        assert statuses["micro-macro generator equivalence"] == "skipped (k*N > 12)"
+
     def test_decoupled_config_residuals_tiny(self, tmp_path):
         out = tmp_path / "validate.csv"
         code = run(["validate", "--J", "0", "--kappa", "0", "--seed", "3",
