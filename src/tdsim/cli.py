@@ -3,8 +3,12 @@
 Every command writes one dataset file, CSV by default ('#'-prefixed header
 lines carrying the full configuration, then one row per record) or JSON
 (an object with "config", "columns" and "rows" mirroring the CSV schema).
-Floats are serialized with shortest round-trip precision, so a rerun with
-the same configuration and seed reproduces the file byte for byte.
+Every float cell is ``repr`` of the float64, its shortest round-trip form,
+so a rerun with the same configuration and seed reproduces the file byte
+for byte.  `simulate` and `ode` hand the writer their path as one float
+array; the CSV writer computes that ``repr`` once per distinct value of a
+column and writes the rows in blocks of :data:`WRITE_BLOCK_ROWS`, so the
+whole text is never held in memory.
 
 Exit codes: 0 success, 1 runtime or check failure, 2 configuration error
 (the message names the offending field).
@@ -27,6 +31,8 @@ from .model import DensityState, LoopSpec
 MAX_GRID_POINTS = 10_000
 # Largest t_end / sample_dt, and t_end / step for rk4, that `ode` accepts.
 MAX_ODE_NODES = 1_000_000
+# Rows formatted and written at a time when a float table goes out as CSV.
+WRITE_BLOCK_ROWS = 4096
 
 
 class ConfigError(ValueError):
@@ -116,34 +122,63 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _float_cells(bits: np.ndarray) -> list[str]:
+    """``repr`` of each float64 given by its bit pattern, one call per distinct pattern.
+
+    Keying on bits keeps -0.0 apart from 0.0 and every nan payload apart.
+    """
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    reprs = np.array([repr(v) for v in distinct.view(np.float64).tolist()], dtype=object)
+    return reprs[inverse].tolist()
+
+
+def _csv_blocks(rows):
+    """The CSV data lines of ``rows``, as newline-terminated blocks of text.
+
+    A float array is formatted column by column, :data:`WRITE_BLOCK_ROWS`
+    rows at a time; a list of mixed rows goes through :func:`_fmt` cell by
+    cell.  Both give the same text for the same floats.
+    """
+    if not isinstance(rows, np.ndarray):
+        yield "".join(",".join(_fmt(v) for v in row) + "\n" for row in rows)
+        return
+    bits = np.ascontiguousarray(rows, dtype=np.float64).view(np.uint64)
+    for start in range(0, len(bits), WRITE_BLOCK_ROWS):
+        block = bits[start:start + WRITE_BLOCK_ROWS]
+        cells = [_float_cells(block[:, j]) for j in range(block.shape[1])]
+        yield "\n".join(map(",".join, zip(*cells))) + "\n"
+
+
 def write_dataset(
     path: str,
     config: dict,
     columns: list[str],
-    rows: list[list],
+    rows,
     fmt: str,
     footer: dict | None = None,
 ):
     """Emit one dataset; ``footer`` entries land after the rows (CSV) or in
-    the config object (JSON), and re-parse into config either way."""
-    if fmt == "csv":
-        lines = [f"# tdsim {__version__}"]
-        for key, value in config.items():
-            lines.append(f"# {key} = {_fmt(value)}")
-        lines.append(",".join(columns))
-        for row in rows:
-            lines.append(",".join(_fmt(v) for v in row))
-        for key, value in (footer or {}).items():
-            lines.append(f"# {key} = {_fmt(value)}")
-        text = "\n".join(lines) + "\n"
-    elif fmt == "json":
-        merged = dict(config, **(footer or {}))
-        payload = {"tdsim": __version__, "config": merged, "columns": columns, "rows": rows}
-        text = json.dumps(payload, indent=1) + "\n"
-    else:
+    the config object (JSON), and re-parse into config either way.
+
+    ``rows`` is a list of rows, or an ``(M, len(columns))`` float array.
+    """
+    if fmt not in ("csv", "json"):
         raise ConfigError(f"format: unknown format {fmt!r}")
     with open(path, "w") as fh:
-        fh.write(text)
+        if fmt == "json":
+            if isinstance(rows, np.ndarray):
+                rows = rows.tolist()
+            merged = dict(config, **(footer or {}))
+            payload = {"tdsim": __version__, "config": merged, "columns": columns, "rows": rows}
+            fh.write(json.dumps(payload, indent=1) + "\n")
+            return
+        fh.write(f"# tdsim {__version__}\n")
+        for key, value in config.items():
+            fh.write(f"# {key} = {_fmt(value)}\n")
+        fh.write(",".join(columns) + "\n")
+        fh.writelines(_csv_blocks(rows))
+        for key, value in (footer or {}).items():
+            fh.write(f"# {key} = {_fmt(value)}\n")
 
 
 def read_dataset(path: str):
@@ -196,6 +231,13 @@ def _common_config(args, spec: LoopSpec, **extra) -> dict:
     return config
 
 
+def _write_trajectory(args, config: dict, traj) -> None:
+    """Write a path as columns t, x_A, x_B, ... from one (M, 1 + k) float array."""
+    columns = ["t"] + [f"x_{chr(65 + i)}" for i in range(traj.states.shape[1])]
+    table = np.column_stack((traj.times, traj.states))
+    write_dataset(args.out, config, columns, table, args.format)
+
+
 def cmd_simulate(args) -> int:
     spec = _build_spec(args)
     _check_t_end(args.t_end)
@@ -213,9 +255,7 @@ def cmd_simulate(args) -> int:
     config = _common_config(
         args, spec, level=args.level, t_end=float(args.t_end), seed=seed, x0=args.x0
     )
-    columns = ["t"] + [f"x_{chr(65 + i)}" for i in range(spec.k)]
-    rows = [[float(t)] + [float(v) for v in state] for t, state in zip(traj.times, traj.states)]
-    write_dataset(args.out, config, columns, rows, args.format)
+    _write_trajectory(args, config, traj)
     return 0
 
 
@@ -240,9 +280,7 @@ def cmd_ode(args) -> int:
         args, spec, t_end=float(args.t_end), x0=args.x0, method=args.method,
         step=float(args.step), rtol=float(args.rtol), atol=float(args.atol),
     )
-    columns = ["t"] + [f"x_{chr(65 + i)}" for i in range(spec.k)]
-    rows = [[float(t)] + [float(v) for v in state] for t, state in zip(traj.times, traj.states)]
-    write_dataset(args.out, config, columns, rows, args.format)
+    _write_trajectory(args, config, traj)
     return 0
 
 

@@ -13,7 +13,8 @@ reversible with respect to the Gibbs measure, which
 
 Note the energy double sum runs over all ordered site pairs including the
 diagonal pair; excluding the diagonal would only shift the energy by
-another constant.  All exact enumerations are guarded by k*N <= 20.
+another constant.  All exact enumerations are guarded by k*N <= 20, and the
+dense generators by k*N <= 12.
 """
 from __future__ import annotations
 
@@ -39,8 +40,9 @@ __all__ = [
 ]
 
 ENUMERATION_LIMIT = 20
-# Largest k*N at which the verification battery builds the dense generator:
-# it holds 4^(kN) floats, 128 MiB at k*N = 12.
+# Largest k*N at which :func:`generator_matrix` and
+# :func:`lumped_density_generator` build the dense generator: it holds
+# 4^(kN) floats, 128 MiB at k*N = 12 and 8 GiB at k*N = 15.
 GENERATOR_LIMIT = 12
 # Largest rate difference between members of one count class that
 # :func:`lumped_density_generator` accepts as lumpable.
@@ -117,6 +119,13 @@ def _require_enumerable(spec: LoopSpec):
     if spec.k * spec.N > ENUMERATION_LIMIT:
         raise ValueError(
             f"k*N = {spec.k * spec.N} exceeds the enumeration guard {ENUMERATION_LIMIT}"
+        )
+
+
+def _require_dense_generator(spec: LoopSpec):
+    if spec.k * spec.N > GENERATOR_LIMIT:
+        raise ValueError(
+            f"k*N = {spec.k * spec.N} exceeds the dense generator guard {GENERATOR_LIMIT}"
         )
 
 
@@ -209,9 +218,10 @@ def generator_matrix(spec: LoopSpec) -> np.ndarray:
 
     Off-diagonal entries are the single-site flip rates, diagonal entries
     make rows sum to zero, multi-site transitions have rate zero.  Memory
-    grows as 4^(kN); meant for desk-scale verification.
+    grows as 4^(kN); meant for desk-scale verification, and refused above
+    k*N = :data:`GENERATOR_LIMIT`.
     """
-    _require_enumerable(spec)
+    _require_dense_generator(spec)
     idx, up, down = _site_rates(spec)
     q = np.zeros((len(idx), len(idx)))
     for i in range(spec.k):
@@ -256,7 +266,7 @@ def lumped_density_generator(spec: LoopSpec) -> np.ndarray:
     (the chain is lumpable because rates depend only on counts), which is
     verified to :data:`LUMPING_TOL`.
     """
-    _require_enumerable(spec)
+    _require_dense_generator(spec)
     N = spec.N
     k = spec.k
     q = generator_matrix(spec)

@@ -12,7 +12,15 @@ import pytest
 
 import tdsim
 from tdsim import ode
-from tdsim.cli import MAX_GRID_POINTS, MAX_ODE_NODES, _parse_grid, main, read_dataset
+from tdsim.cli import (
+    MAX_GRID_POINTS,
+    MAX_ODE_NODES,
+    WRITE_BLOCK_ROWS,
+    _parse_grid,
+    main,
+    read_dataset,
+    write_dataset,
+)
 
 
 def run(args):
@@ -406,3 +414,51 @@ class TestRoundTrip:
         with pytest.raises(SystemExit) as info:
             run(["frobnicate"])
         assert info.value.code == 2
+
+
+class TestWriteDataset:
+    """A float array and the same rows as Python floats give the same bytes."""
+
+    @staticmethod
+    def table():
+        special = [-0.0, 0.0, float("nan"), float("inf"), float("-inf"), 5e-324,
+                   0.1 + 0.2, 1e16, 0.5, 0.5, -1e-300, 2.0 / 3.0]
+        rows = WRITE_BLOCK_ROWS + 77  # crosses one block boundary
+        cols = [np.resize(np.array(special), rows),
+                np.resize(np.array(special[::-1]), rows),
+                np.arange(rows) / 7.0,
+                np.where(np.arange(rows) % 2 == 0, -0.0, 0.0)]
+        return np.column_stack(cols)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_array_and_float_rows_write_the_same_bytes(self, fmt, tmp_path):
+        table = self.table()
+        rows = [[float(v) for v in row] for row in table]
+        config = {"command": "simulate", "J": 1.0, "seed": 3}
+        columns = ["t", "x_A", "x_B", "x_C"]
+        from_array = tmp_path / f"array.{fmt}"
+        from_rows = tmp_path / f"rows.{fmt}"
+        write_dataset(str(from_array), config, columns, table, fmt)
+        write_dataset(str(from_rows), config, columns, rows, fmt)
+        assert from_array.read_bytes() == from_rows.read_bytes()
+        if fmt == "csv":
+            lines = from_array.read_text().splitlines()
+            assert len(lines) == 5 + len(table)
+            assert lines[5:8] == ["-0.0,0.6666666666666666,0.0,-0.0",
+                                  "0.0,-1e-300,0.14285714285714285,0.0",
+                                  "nan,0.5,0.2857142857142857,-0.0"]
+
+    def test_csv_writer_holds_one_block_not_the_file(self, tmp_path):
+        rng = np.random.default_rng(5)
+        table = np.column_stack((np.cumsum(rng.exponential(1e-4, 110_000)),
+                                 rng.integers(0, 1001, (110_000, 3)) / 1000))
+        out = tmp_path / "big.csv"
+        tracemalloc.start()
+        try:
+            write_dataset(str(out), {"command": "simulate"}, ["t", "x_A", "x_B", "x_C"],
+                          table, "csv")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(out.read_text().splitlines()) == 3 + 110_000
+        assert peak < 4 << 20

@@ -1,6 +1,7 @@
 """Spin-level energies, generators and the micro/macro projection."""
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -198,6 +199,21 @@ class TestGeneratorMatrix:
             for dst in range(size):
                 if src != dst and bin(src ^ dst).count("1") != 1:
                     assert q[src, dst] == 0.0
+
+
+class TestDenseGeneratorGuard:
+    @pytest.mark.parametrize("k, N", [(13, 1), (3, 5)])
+    @pytest.mark.parametrize("build", [generator_matrix, lumped_density_generator])
+    def test_refused_above_the_limit_before_allocating(self, build, k, N):
+        spec = LoopSpec.with_half_j(J=1.0, delta=0.3, N=N, k=k)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"k\*N = \d+ exceeds the dense generator"):
+                build(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestProjectionEquivalence:
