@@ -108,6 +108,8 @@ def _check_t_end(t_end: float):
 
 def _resolve_seed(args) -> int:
     if args.seed is not None:
+        if args.seed < 0:  # SeedSequence takes non-negative integers only
+            raise ConfigError("seed: must be a non-negative integer")
         return args.seed
     seed = secrets.randbelow(2**63)
     print(f"seed = {seed}", file=sys.stderr)
@@ -149,6 +151,27 @@ def _csv_blocks(rows):
         yield "\n".join(map(",".join, zip(*cells))) + "\n"
 
 
+def _json_rows(rows):
+    """The ``"rows"`` array of the JSON dataset, as blocks of text.
+
+    Each block of :data:`WRITE_BLOCK_ROWS` rows goes through ``json.dumps``
+    with ``indent=1`` and is shifted one level deeper, so the text equals
+    that of one ``json.dumps`` over the whole payload.  ``json.dumps``
+    escapes newlines inside strings, so every newline it writes is layout.
+    """
+    if len(rows) == 0:
+        yield "[]"
+        return
+    yield "[\n"
+    for start in range(0, len(rows), WRITE_BLOCK_ROWS):
+        block = rows[start:start + WRITE_BLOCK_ROWS]
+        if isinstance(block, np.ndarray):
+            block = block.tolist()
+        text = json.dumps(block, indent=1)[len("[\n"):-len("\n]")]
+        yield ("" if start == 0 else ",\n") + " " + text.replace("\n", "\n ")
+    yield "\n ]"
+
+
 def write_dataset(
     path: str,
     config: dict,
@@ -166,11 +189,12 @@ def write_dataset(
         raise ConfigError(f"format: unknown format {fmt!r}")
     with open(path, "w") as fh:
         if fmt == "json":
-            if isinstance(rows, np.ndarray):
-                rows = rows.tolist()
             merged = dict(config, **(footer or {}))
-            payload = {"tdsim": __version__, "config": merged, "columns": columns, "rows": rows}
-            fh.write(json.dumps(payload, indent=1) + "\n")
+            head = {"tdsim": __version__, "config": merged, "columns": columns, "rows": []}
+            # Everything up to the rows array, which is the last value.
+            fh.write(json.dumps(head, indent=1)[:-len("[]\n}")])
+            fh.writelines(_json_rows(rows))
+            fh.write("\n}\n")
             return
         fh.write(f"# tdsim {__version__}\n")
         for key, value in config.items():

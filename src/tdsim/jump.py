@@ -224,7 +224,8 @@ def _simulate_counts_3(spec, n, t_end, pairs, stride):
 def _recorded_counts(n0, channels, stride, rows):
     """Count rows rebuilt from a channel stream: n0, then n0 plus the running
     sum of +1 (even channel) or -1 (odd channel) on type channel >> 1 after
-    every ``stride``-th event; rows past the last such event repeat it."""
+    every ``stride``-th event; rows past the last such event hold the counts
+    after every event."""
     k = len(n0)
     c = np.frombuffer(channels, dtype=_channel_dtype(k))
     kind = c >> 1
@@ -236,7 +237,7 @@ def _recorded_counts(n0, channels, stride, rows):
         # One type at a time, so no (events, k) temporary is ever held.
         steps = np.cumsum(np.where(kind == i, sign, 0), dtype=np.int64)
         counts[1:last + 1, i] = n0[i] + steps[stride - 1::stride]
-    counts[last + 1:] = counts[last]
+        counts[last + 1:, i] = n0[i] + (steps[-1] if len(steps) else 0)
     return counts
 
 
@@ -250,10 +251,10 @@ def ssa_simulate(
     """Sample one exact path of the density process on [0, t_end].
 
     Recording keeps the initial state, every ``thinning``-th event and, at
-    t_end, the last recorded state (thinning defaults per
-    :func:`default_thinning`).  Identical (spec, x0, t_end, seed, thinning)
-    give identical output.  ``meta`` counts the ``events`` and the
-    ``rng_blocks`` of variates drawn.
+    t_end, the state after the last event, so ``final_state`` does not
+    depend on the thinning (which defaults per :func:`default_thinning`).
+    Identical (spec, x0, t_end, seed, thinning) give identical output.
+    ``meta`` counts the ``events`` and the ``rng_blocks`` of variates drawn.
     """
     if not math.isfinite(t_end) or t_end < 0:
         raise ValueError(f"t_end must be finite and non-negative, got {t_end!r}")

@@ -190,7 +190,9 @@ def vector_field(spec: LoopSpec, x) -> np.ndarray:
 def field_closure(spec: LoopSpec):
     """Fast callable y -> F(y) for integrators, returning Python floats.
 
-    For k = 3 the field is scalar math returning a tuple; other k return
+    For k = 3 the field is scalar math on a 3-sequence returning a tuple:
+    it calls ``math.exp`` directly and, only when that overflows, recomputes
+    the six exponentials degrading to inf like numpy.  Other k return
     ``vector_field(...).tolist()``.  Same formula and operation order as
     :func:`vector_field`.
     """
@@ -199,6 +201,7 @@ def field_closure(spec: LoopSpec):
     dJ = -spec.delta * spec.J
     hJ = -(1.0 - spec.delta) * spec.J
     k0, k1, k2 = spec.kappa
+    fast_exp = math.exp
 
     def exp(v):
         # Adaptive integrators probe trial states far outside [0,1]^k;
@@ -213,10 +216,18 @@ def field_closure(spec: LoopSpec):
         e0 = 2.0 * (dJ * y2 + hJ * y1 + k0)
         e1 = 2.0 * (dJ * y0 + hJ * y2 + k1)
         e2 = 2.0 * (dJ * y1 + hJ * y0 + k2)
+        # math.exp raises only where exp() gives inf, so the retry keeps
+        # every bit while the common case skips six wrapper calls.
+        try:
+            p0, m0, p1 = fast_exp(e0), fast_exp(-e0), fast_exp(e1)
+            m1, p2, m2 = fast_exp(-e1), fast_exp(e2), fast_exp(-e2)
+        except OverflowError:
+            p0, m0, p1 = exp(e0), exp(-e0), exp(e1)
+            m1, p2, m2 = exp(-e1), exp(e2), exp(-e2)
         return (
-            (1.0 - y0) * exp(e0) - y0 * exp(-e0),
-            (1.0 - y1) * exp(e1) - y1 * exp(-e1),
-            (1.0 - y2) * exp(e2) - y2 * exp(-e2),
+            (1.0 - y0) * p0 - y0 * m0,
+            (1.0 - y1) * p1 - y1 * m1,
+            (1.0 - y2) * p2 - y2 * m2,
         )
 
     return field3

@@ -5,11 +5,15 @@ adaptive embedded Dormand-Prince 5(4) pair.  Both record the accepted nodes
 together with the field values there, so trajectories support cubic-Hermite
 dense output (used for orbit-extrema detection and fine reference sampling).
 
-The integrators step on Python floats, one comprehension per stage, because
-numpy's per-call overhead dominates on states of a few components; the field
-takes and returns sequences of floats.  The output trajectory holds numpy
-arrays, and its ``meta`` records the run counters ``steps_accepted``,
-``steps_rejected`` and ``f_evals``.
+The integrators step on Python floats because numpy's per-call overhead
+dominates on states of a few components; the field takes and returns
+sequences of floats.  RK4 and the generic RK45 loop run one comprehension per
+stage.  A three-component state (the k = 3 fluid limit and 3 x 3 linear
+systems) takes :func:`_rk45_loop_3`, the same Dormand-Prince step unrolled on
+scalar locals with the same operations in the same order, so its nodes are
+bitwise those of the generic loop without its per-stage lists and zips.  The
+output trajectory holds numpy arrays, and its ``meta`` records the run
+counters ``steps_accepted``, ``steps_rejected`` and ``f_evals``.
 """
 from __future__ import annotations
 
@@ -133,7 +137,8 @@ def _rk4_path(f, y0, t_end, h, stats):
     return _arrays(ts, ys, fs)
 
 
-def _rk45_path(f, y0, t_end, rtol, atol, stats):
+def _rk45_loop(f, y0, t_end, rtol, atol, stats):
+    """Dormand-Prince loop for any dimension, one comprehension per stage."""
     k1 = f(y0)
     ts = array("d", [0.0])
     ys = array("d", y0)
@@ -194,6 +199,91 @@ def _rk45_path(f, y0, t_end, rtol, atol, stats):
             h *= min(5.0, max(0.2, factor))
     stats.update(steps_rejected=rejected, f_evals=1 + 6 * (len(ts) - 1 + rejected))
     return _arrays(ts, ys, fs)
+
+
+def _rk45_loop_3(f, y0, t_end, rtol, atol, stats):
+    """:func:`_rk45_loop` unrolled for three components on scalar locals.
+
+    Every stage keeps the coefficients, parenthesisation and operation
+    order of the comprehensions, and the finiteness test, accept/reject rule
+    and step controller are the same, so every node is bitwise the same.
+    The field gets one 3-tuple per evaluation.
+    """
+    k1 = f(y0)
+    ts = array("d", [0.0])
+    ys = array("d", y0)
+    fs = array("d", k1)
+    t = 0.0
+    ya, yb, yc = y0
+    k1a, k1b, k1c = k1
+    h = min(1e-2, t_end) if t_end > 0 else 0.0
+    rejected = 0
+    isfinite = math.isfinite
+    a41, a42, a43 = 44 / 45, 56 / 15, 32 / 9
+    a51, a52, a53, a54 = 19372 / 6561, 25360 / 2187, 64448 / 6561, 212 / 729
+    a61, a62, a63, a64, a65 = 9017 / 3168, 355 / 33, 46732 / 5247, 49 / 176, 5103 / 18656
+    b1, b3, b4, b5, b6 = 35 / 384, 500 / 1113, 125 / 192, 2187 / 6784, 11 / 84
+    e1, e3, e4, e5, e6, e7 = (
+        _DP_ERR[0], _DP_ERR[2], _DP_ERR[3], _DP_ERR[4], _DP_ERR[5], _DP_ERR[6],
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        while t < t_end - 1e-15:
+            h = min(h, t_end - t)
+            if h < _MIN_STEP * max(1.0, abs(t)):
+                raise StepSizeUnderflow(t)
+            k2a, k2b, k2c = f((ya + h * (0.2 * k1a), yb + h * (0.2 * k1b),
+                               yc + h * (0.2 * k1c)))
+            k3a, k3b, k3c = f((ya + h * (0.075 * k1a + 0.225 * k2a),
+                               yb + h * (0.075 * k1b + 0.225 * k2b),
+                               yc + h * (0.075 * k1c + 0.225 * k2c)))
+            k4a, k4b, k4c = f((ya + h * (a41 * k1a - a42 * k2a + a43 * k3a),
+                               yb + h * (a41 * k1b - a42 * k2b + a43 * k3b),
+                               yc + h * (a41 * k1c - a42 * k2c + a43 * k3c)))
+            k5a, k5b, k5c = f((ya + h * (a51 * k1a - a52 * k2a + a53 * k3a - a54 * k4a),
+                               yb + h * (a51 * k1b - a52 * k2b + a53 * k3b - a54 * k4b),
+                               yc + h * (a51 * k1c - a52 * k2c + a53 * k3c - a54 * k4c)))
+            k6a, k6b, k6c = f((
+                ya + h * (a61 * k1a - a62 * k2a + a63 * k3a + a64 * k4a - a65 * k5a),
+                yb + h * (a61 * k1b - a62 * k2b + a63 * k3b + a64 * k4b - a65 * k5b),
+                yc + h * (a61 * k1c - a62 * k2c + a63 * k3c + a64 * k4c - a65 * k5c)))
+            na = ya + h * (b1 * k1a + b3 * k3a + b4 * k4a - b5 * k5a + b6 * k6a)
+            nb = yb + h * (b1 * k1b + b3 * k3b + b4 * k4b - b5 * k5b + b6 * k6b)
+            nc = yc + h * (b1 * k1c + b3 * k3c + b4 * k4c - b5 * k5c + b6 * k6c)
+            k7 = f((na, nb, nc))
+            k7a, k7b, k7c = k7
+            ra = (abs(h * (e1 * k1a + e3 * k3a + e4 * k4a + e5 * k5a + e6 * k6a + e7 * k7a))
+                  / (atol + rtol * max(abs(ya), abs(na))))
+            rb = (abs(h * (e1 * k1b + e3 * k3b + e4 * k4b + e5 * k5b + e6 * k6b + e7 * k7b))
+                  / (atol + rtol * max(abs(yb), abs(nb))))
+            rc = (abs(h * (e1 * k1c + e3 * k3c + e4 * k4c + e5 * k5c + e6 * k6c + e7 * k7c))
+                  / (atol + rtol * max(abs(yc), abs(nc))))
+            if not (isfinite(ra) and isfinite(rb) and isfinite(rc)
+                    and isfinite(na) and isfinite(nb) and isfinite(nc)):
+                if not (isfinite(ya) and isfinite(yb) and isfinite(yc)):
+                    raise NonFiniteState(t)
+                rejected += 1
+                h *= 0.2
+                continue
+            err = max(ra, rb, rc)
+            if err <= 1.0:
+                t = t + h
+                ya, yb, yc = na, nb, nc
+                k1a, k1b, k1c = k7a, k7b, k7c
+                ts.append(t)
+                ys.extend((na, nb, nc))
+                fs.extend(k7)
+            else:
+                rejected += 1
+            factor = 0.9 * (err ** -0.2) if err > 0 else 5.0
+            h *= min(5.0, max(0.2, factor))
+    stats.update(steps_rejected=rejected, f_evals=1 + 6 * (len(ts) - 1 + rejected))
+    return _arrays(ts, ys, fs)
+
+
+def _rk45_path(f, y0, t_end, rtol, atol, stats):
+    """Adaptive Dormand-Prince path; three components take the unrolled loop."""
+    loop = _rk45_loop_3 if len(y0) == 3 else _rk45_loop
+    return loop(f, y0, t_end, rtol, atol, stats)
 
 
 def _integrate_field(f, y0, t_end, settings, meta):

@@ -325,6 +325,9 @@ class TestConfigErrors:
             (["ode", "--sample-dt", "nan"], None, "sample_dt"),
             (["ode", "--t-end", "1", "--sample-dt", "1e-9"], None, "sample-dt"),
             (["ode", "--method", "rk4", "--t-end", "1", "--step", "1e-12"], None, "step"),
+            (["simulate", "--seed", "-3"], None, "seed"),
+            (["converge", "--seed", "-3", "--N", "50"], None, "seed"),
+            (["validate", "--seed", "-3"], None, "seed"),
         ],
     )
     def test_exits_2_naming_the_field(self, argv, env, field, tmp_path, monkeypatch, capsys):
@@ -448,17 +451,47 @@ class TestWriteDataset:
                                   "0.0,-1e-300,0.14285714285714285,0.0",
                                   "nan,0.5,0.2857142857142857,-0.0"]
 
-    def test_csv_writer_holds_one_block_not_the_file(self, tmp_path):
+    @pytest.mark.parametrize("rows", [
+        None, [], [[3, "check\nname", None, 0.5], [1e-300, "pass", -0.0, float("nan")]],
+    ])
+    def test_json_is_one_dumps_of_the_payload(self, rows, tmp_path):
+        """``None`` stands for :meth:`table`, which crosses a block boundary."""
+        table = self.table() if rows is None else rows
+        rows = table.tolist() if rows is None else rows
+        config = {"command": "converge", "seed": 3}
+        out = tmp_path / "out.json"
+        write_dataset(str(out), config, ["a", "b", "c", "d"], table, "json",
+                      footer={"slope": -0.5})
+        payload = {"tdsim": tdsim.__version__, "config": dict(config, slope=-0.5),
+                   "columns": ["a", "b", "c", "d"], "rows": rows}
+        assert out.read_text() == json.dumps(payload, indent=1) + "\n"
+
+    @staticmethod
+    def long_path():
         rng = np.random.default_rng(5)
-        table = np.column_stack((np.cumsum(rng.exponential(1e-4, 110_000)),
-                                 rng.integers(0, 1001, (110_000, 3)) / 1000))
-        out = tmp_path / "big.csv"
+        return np.column_stack((np.cumsum(rng.exponential(1e-4, 110_000)),
+                                rng.integers(0, 1001, (110_000, 3)) / 1000))
+
+    def write_peak(self, out, fmt):
+        """tracemalloc peak of writing :meth:`long_path` as ``fmt``."""
+        table = self.long_path()
         tracemalloc.start()
         try:
             write_dataset(str(out), {"command": "simulate"}, ["t", "x_A", "x_B", "x_C"],
-                          table, "csv")
+                          table, fmt)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        return peak
+
+    def test_csv_writer_holds_one_block_not_the_file(self, tmp_path):
+        out = tmp_path / "big.csv"
+        peak = self.write_peak(out, "csv")
         assert len(out.read_text().splitlines()) == 3 + 110_000
         assert peak < 4 << 20
+
+    def test_json_writer_holds_one_block_not_the_file(self, tmp_path):
+        out = tmp_path / "big.json"
+        peak = self.write_peak(out, "json")
+        assert len(read_dataset(str(out))[2]) == 110_000
+        assert peak < 8 << 20

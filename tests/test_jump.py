@@ -83,7 +83,7 @@ def reference_ssa(spec, x0, t_end, seed, thinning=None):
             states.append(tuple(n))
     if times[-1] < t_end:
         times.append(t_end)
-        states.append(states[-1])
+        states.append(tuple(n))
     return np.array(times), np.array(states, dtype=float) / spec.N, event
 
 
@@ -101,6 +101,20 @@ class TestSamplerOracle:
         assert traj.meta["events"] == events
         assert traj.times.tobytes() == times.tobytes()
         assert traj.states.tobytes() == states.tobytes()
+
+    @pytest.mark.parametrize("thinning", [7, None])
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_final_state_does_not_depend_on_thinning(self, k, thinning):
+        # 3023 and 5056 events: a multiple of neither 7 nor the default 20,
+        # so the t_end row follows events after the last recorded one.
+        spec = LoopSpec.with_half_j(J=1.0, delta=0.3, N=2000, k=k)
+        x0 = DensityState.from_counts([1000] * k, 2000)
+        every = ssa_simulate(spec, x0, 0.5, seed=3, thinning=1)
+        thinned = ssa_simulate(spec, x0, 0.5, seed=3, thinning=thinning)
+        assert every.meta["events"] == {3: 3023, 5: 5056}[k]
+        assert thinned.meta["events"] == every.meta["events"]
+        assert thinned.meta["events"] % thinned.meta["thinning"] != 0
+        assert thinned.final_state.tobytes() == every.final_state.tobytes()
 
     @pytest.mark.parametrize("thinning", [1, 7, None])
     @pytest.mark.parametrize("k", [128, 130])

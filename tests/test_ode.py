@@ -173,6 +173,115 @@ class TestIntegrate:
                 integrate(spec, np.array(x0), 1.0)
 
 
+def recording(f):
+    """``f`` that also records the type of every argument it is called with."""
+    kinds = set()
+
+    def g(y):
+        kinds.add(type(y))
+        return f(y)
+
+    return g, kinds
+
+
+def assert_same_as_generic_loop(f, y0, t_end, rtol=1e-8, atol=1e-10):
+    """The three-component ``_rk45_path`` against the comprehension loop."""
+    g, kinds = recording(f)
+    ref_stats, stats = {}, {}
+    ref = ode._rk45_loop(f, list(y0), t_end, rtol, atol, ref_stats)
+    got = ode._rk45_path(g, list(y0), t_end, rtol, atol, stats)
+    assert stats == ref_stats
+    for a, b in zip(got, ref):
+        assert a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+    if len(ref[0]) > 1:
+        assert tuple in kinds  # the unrolled step ran
+    return ref, ref_stats
+
+
+class TestUnrolledRk45:
+    """Three components take the unrolled Dormand-Prince step: same bits and
+    counters as the generic comprehension loop, which stays the reference."""
+
+    @pytest.mark.parametrize("delta", [0.0, 0.3])
+    @pytest.mark.parametrize("J", [2.05, 2.35])
+    def test_orbit_horizon(self, J, delta):
+        spec = LoopSpec.with_half_j(J=J, delta=delta, N=10)
+        horizon = ode.BURN_IN_TIME + ode.OBSERVATION_TIME
+        assert_same_as_generic_loop(field_closure(spec), [0.55, 0.5, 0.45], horizon)
+
+    def test_random_specs_and_starts(self):
+        rng = np.random.default_rng(23)
+        for _ in range(20):
+            spec = LoopSpec(J=float(rng.uniform(-3, 3)), delta=float(rng.uniform(0, 1)),
+                            kappa=tuple(rng.uniform(-1.5, 1.5, 3)), N=10)
+            rtol = float(10.0 ** rng.uniform(-10, -3))
+            assert_same_as_generic_loop(field_closure(spec), rng.uniform(0, 1, 3).tolist(),
+                                        float(rng.uniform(0.5, 8)), rtol, rtol * 1e-2)
+
+    def test_overflowing_field_with_rejected_steps(self):
+        spec = LoopSpec.with_half_j(J=6.0, delta=0.2, N=10)
+        ref, stats = assert_same_as_generic_loop(field_closure(spec), [0.9, 0.1, 0.5], 20.0,
+                                                 1e-3, 1e-6)
+        assert len(ref[0]) == 2264
+        assert stats["steps_rejected"] > 0
+
+    @pytest.mark.parametrize("J, delta", [(2.0, 0.0), (1.0, 0.3), (-1.5, 0.8)])
+    def test_linear_z_system(self, J, delta):
+        a = z_system(J, delta)
+        assert_same_as_generic_loop(lambda y: (a @ y).tolist(), [0.6, -0.3, 0.2], 10.0)
+
+    @pytest.mark.parametrize("t_end", [0.0, 1e-16, 4e-3])
+    def test_short_horizons(self, t_end):
+        spec = LoopSpec.with_half_j(J=2.5, delta=0.1, N=10)
+        ref, _ = assert_same_as_generic_loop(field_closure(spec), [0.9, 0.1, 0.5], t_end)
+        assert len(ref[0]) == (2 if t_end > 1e-15 else 1)
+
+    @pytest.mark.parametrize("field, y0, error", [
+        (lambda y: (350.0 * np.asarray(y)).tolist(), [1.0, -1.0, 0.5], StepSizeUnderflow),
+        (lambda y: (350.0 * np.asarray(y)).tolist(), [math.inf, 0.0, 0.0], NonFiniteState),
+        # Only the trial state overflows; every error ratio stays finite.
+        (lambda y: (0.0, 0.0, 1e308), [0.0, 0.0, 1.79e308], StepSizeUnderflow),
+    ])
+    def test_blow_up_raises_the_same_error(self, field, y0, error):
+        raised = []
+        for loop in (ode._rk45_loop, ode._rk45_path):
+            with pytest.raises(error) as info:
+                loop(field, y0, 10.0, 1e-8, 1e-10, {})
+            raised.append(info.value.t)
+        assert raised[0] == raised[1]
+
+    def test_field_matches_the_inf_degrading_formula(self):
+        def exp(v):
+            try:
+                return math.exp(v)
+            except OverflowError:
+                return math.inf
+
+        def reference(spec, y):
+            dJ, hJ = -spec.delta * spec.J, -(1.0 - spec.delta) * spec.J
+            k0, k1, k2 = spec.kappa
+            e = (2.0 * (dJ * y[2] + hJ * y[1] + k0), 2.0 * (dJ * y[0] + hJ * y[2] + k1),
+                 2.0 * (dJ * y[1] + hJ * y[0] + k2))
+            return tuple((1.0 - v) * exp(x) - v * exp(-x) for v, x in zip(y, e))
+
+        rng = np.random.default_rng(31)
+        overflowed = 0
+        # Inside the box, then ever farther outside it; with |J| up to 6,
+        # states beyond about 60 overflow exp.
+        for low, high in ((0.0, 1.0), (-30.0, 30.0), (-1e3, 1e3), (-1e300, 1e300)):
+            for _ in range(200):
+                spec = LoopSpec(J=float(rng.uniform(-6, 6)), delta=float(rng.uniform(0, 1)),
+                                kappa=tuple(rng.uniform(-3, 3, 3)), N=10)
+                y = rng.uniform(low, high, 3).tolist()
+                want = reference(spec, y)
+                got = field_closure(spec)(y)
+                assert type(got) is tuple
+                assert np.array(got).tobytes() == np.array(want).tobytes(), (spec, y)
+                overflowed += not all(map(math.isfinite, want))
+        assert overflowed > 100
+
+
 class TestIntegratorSettings:
     @pytest.mark.parametrize("name", ["step", "rtol", "atol", "sample_dt"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
