@@ -53,6 +53,8 @@ AMPLITUDE_EPS = 1e-3
 BRANCH_TOL = 1e-12
 # Relative tolerance of the reference ODE solution in the convergence experiment.
 REFERENCE_RTOL = 1e-8
+# Sample spacing of that reference solution.
+REFERENCE_SAMPLE_DT = 1e-3
 # Off-diagonal start used for asymptotic orbit runs; any generic point works.
 _ORBIT_X0 = (0.55, 0.5, 0.45)
 
@@ -310,7 +312,7 @@ def convergence_experiment(
     if replicas == 0 or len(N_values) == 0:
         return ConvergenceResult(rows=(), slope=None)
     settings = ode.IntegratorSettings(method="rk45", rtol=REFERENCE_RTOL, atol=1e-10,
-                                      sample_dt=1e-3)
+                                      sample_dt=REFERENCE_SAMPLE_DT)
     reference = ode.integrate(replace(base, N=max(N_values)), x0, t, settings)
     rows = []
     for p, N in enumerate(N_values):

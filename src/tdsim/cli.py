@@ -6,8 +6,8 @@ lines carrying the full configuration, then one row per record) or JSON
 Every float cell is ``repr`` of the float64, its shortest round-trip form,
 so a rerun with the same configuration and seed reproduces the file byte
 for byte.  `simulate` and `ode` hand the writer their path as one float
-array; the CSV writer computes that ``repr`` once per distinct value of a
-column and writes the rows in blocks of :data:`WRITE_BLOCK_ROWS`, so the
+array; both formats compute that ``repr`` once per distinct value of a
+column and write the rows in blocks of :data:`WRITE_BLOCK_ROWS`, so the
 whole text is never held in memory.
 
 Exit codes: 0 success, 1 runtime or check failure, 2 configuration error
@@ -29,9 +29,10 @@ from .model import DensityState, LoopSpec
 
 # Largest number of points a start:stop:step grid may expand to.
 MAX_GRID_POINTS = 10_000
-# Largest t_end / sample_dt, and t_end / step for rk4, that `ode` accepts.
+# Largest t_end / sample_dt, and t_end / step for rk4, that `ode` accepts, and
+# largest t_end / analysis.REFERENCE_SAMPLE_DT that `converge` accepts.
 MAX_ODE_NODES = 1_000_000
-# Rows formatted and written at a time when a float table goes out as CSV.
+# Rows formatted and written at a time when a table goes out.
 WRITE_BLOCK_ROWS = 4096
 
 
@@ -124,51 +125,68 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _float_cells(bits: np.ndarray) -> list[str]:
-    """``repr`` of each float64 given by its bit pattern, one call per distinct pattern.
+def _cell_blocks(table: np.ndarray, spell):
+    """The cells of a float table as text, :data:`WRITE_BLOCK_ROWS` rows at a time.
 
-    Keying on bits keeps -0.0 apart from 0.0 and every nan payload apart.
+    Each block is an iterator over row tuples.  ``spell`` runs once per
+    distinct bit pattern of a column in the block; keying on bits keeps -0.0
+    apart from 0.0 and every nan payload apart.
     """
-    distinct, inverse = np.unique(bits, return_inverse=True)
-    reprs = np.array([repr(v) for v in distinct.view(np.float64).tolist()], dtype=object)
-    return reprs[inverse].tolist()
+    bits = np.ascontiguousarray(table, dtype=np.float64).view(np.uint64)
+    for start in range(0, len(bits), WRITE_BLOCK_ROWS):
+        columns = []
+        for column in bits[start:start + WRITE_BLOCK_ROWS].T:
+            distinct, inverse = np.unique(column, return_inverse=True)
+            spelled = np.array([spell(v) for v in distinct.view(np.float64).tolist()],
+                               dtype=object)
+            columns.append(spelled[inverse].tolist())
+        yield zip(*columns)
+
+
+def _json_float(value: float) -> str:
+    """A float as ``json.dumps`` writes it: ``repr``, or NaN / Infinity / -Infinity."""
+    if math.isfinite(value):
+        return repr(value)
+    return "NaN" if value != value else ("Infinity" if value > 0 else "-Infinity")
 
 
 def _csv_blocks(rows):
     """The CSV data lines of ``rows``, as newline-terminated blocks of text.
 
-    A float array is formatted column by column, :data:`WRITE_BLOCK_ROWS`
-    rows at a time; a list of mixed rows goes through :func:`_fmt` cell by
-    cell.  Both give the same text for the same floats.
+    A float array goes through :func:`_cell_blocks` with ``repr``; a list of
+    mixed rows goes through :func:`_fmt` cell by cell.  Both give the same
+    text for the same floats.
     """
     if not isinstance(rows, np.ndarray):
         yield "".join(",".join(_fmt(v) for v in row) + "\n" for row in rows)
         return
-    bits = np.ascontiguousarray(rows, dtype=np.float64).view(np.uint64)
-    for start in range(0, len(bits), WRITE_BLOCK_ROWS):
-        block = bits[start:start + WRITE_BLOCK_ROWS]
-        cells = [_float_cells(block[:, j]) for j in range(block.shape[1])]
-        yield "\n".join(map(",".join, zip(*cells))) + "\n"
+    for cells in _cell_blocks(rows, repr):
+        yield "\n".join(map(",".join, cells)) + "\n"
 
 
 def _json_rows(rows):
     """The ``"rows"`` array of the JSON dataset, as blocks of text.
 
-    Each block of :data:`WRITE_BLOCK_ROWS` rows goes through ``json.dumps``
-    with ``indent=1`` and is shifted one level deeper, so the text equals
-    that of one ``json.dumps`` over the whole payload.  ``json.dumps``
-    escapes newlines inside strings, so every newline it writes is layout.
+    The text equals that of one ``json.dumps`` with ``indent=1`` over the
+    whole payload, where the array sits one level deep.  A float array is
+    laid out in that form from :func:`_cell_blocks`.  A list of mixed rows
+    goes through ``json.dumps`` :data:`WRITE_BLOCK_ROWS` rows at a time,
+    shifted one level deeper; ``json.dumps`` escapes newlines inside
+    strings, so every newline it writes is layout.
     """
     if len(rows) == 0:
         yield "[]"
         return
+    if isinstance(rows, np.ndarray):
+        blocks = (",\n".join("  [\n   " + ",\n   ".join(row) + "\n  ]" for row in cells)
+                  for cells in _cell_blocks(rows, _json_float))
+    else:
+        dumps = (json.dumps(rows[start:start + WRITE_BLOCK_ROWS], indent=1)
+                 for start in range(0, len(rows), WRITE_BLOCK_ROWS))
+        blocks = (" " + text[len("[\n"):-len("\n]")].replace("\n", "\n ") for text in dumps)
     yield "[\n"
-    for start in range(0, len(rows), WRITE_BLOCK_ROWS):
-        block = rows[start:start + WRITE_BLOCK_ROWS]
-        if isinstance(block, np.ndarray):
-            block = block.tolist()
-        text = json.dumps(block, indent=1)[len("[\n"):-len("\n]")]
-        yield ("" if start == 0 else ",\n") + " " + text.replace("\n", "\n ")
+    for n, text in enumerate(blocks):
+        yield ("" if n == 0 else ",\n") + text
     yield "\n ]"
 
 
@@ -312,6 +330,11 @@ def cmd_bifurcate(args) -> int:
     grid = _parse_grid(args.grid)
     if not (0.0 <= args.delta <= 1.0):
         raise ConfigError("delta: must lie in [0, 1]")
+    for J in grid:  # before the scan, so no point is classified
+        try:
+            LoopSpec.with_half_j(J, args.delta, N=1)
+        except ValueError as exc:
+            raise ConfigError(f"grid: J = {J!r}: {exc}") from None
     records = analysis.scan(grid, args.delta)
     config = {
         "command": args.command,
@@ -353,6 +376,10 @@ def cmd_converge(args) -> int:
     if args.replicas < 1:
         raise ConfigError("replicas: must be >= 1")
     _check_t_end(args.t_end)
+    # The reference ODE is sampled every REFERENCE_SAMPLE_DT up to t_end.
+    if args.t_end / analysis.REFERENCE_SAMPLE_DT > MAX_ODE_NODES:
+        raise ConfigError(f"t-end: t_end / {analysis.REFERENCE_SAMPLE_DT!r} (the reference "
+                          f"sample step) is above {MAX_ODE_NODES} nodes")
     seed = _resolve_seed(args)
     args.N = args.N_list[0]  # base spec; the sweep replaces N per entry
     base = _build_spec(args)
@@ -375,7 +402,7 @@ def _validate_checks(spec: LoopSpec, seed: int):
     """Run the verification battery; yields (name, residual, threshold, status)."""
     rng = jump._stream(seed)
     # Both exact micro checks enumerate configurations; the generator check
-    # also holds a dense 2^(kN)-square matrix, and the residual at the
+    # also sums 4^(kN) dense generator entries, and the residual at the
     # configuration needs the k = 3 coupling table.
     enumerable = spec.k * spec.N <= micro.ENUMERATION_LIMIT
     if spec.k * spec.N <= micro.GENERATOR_LIMIT:

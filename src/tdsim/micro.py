@@ -14,7 +14,11 @@ reversible with respect to the Gibbs measure, which
 Note the energy double sum runs over all ordered site pairs including the
 diagonal pair; excluding the diagonal would only shift the energy by
 another constant.  All exact enumerations are guarded by k*N <= 20, and the
-dense generators by k*N <= 12.
+generators over configurations by k*N <= 12.  :func:`generator_matrix`
+holds the dense 2^(kN)-square matrix; :func:`lumped_density_generator`
+works from the flip table (each configuration's k*N single-site flip
+targets and rates) and forms dense rows only :data:`ROW_SUM_BLOCK` at a
+time, to take the diagonal from the same row sums.
 """
 from __future__ import annotations
 
@@ -41,9 +45,13 @@ __all__ = [
 
 ENUMERATION_LIMIT = 20
 # Largest k*N at which :func:`generator_matrix` and
-# :func:`lumped_density_generator` build the dense generator: it holds
-# 4^(kN) floats, 128 MiB at k*N = 12 and 8 GiB at k*N = 15.
+# :func:`lumped_density_generator` run.  Both touch 4^(kN) dense entries:
+# the matrix holds them all (128 MiB at k*N = 12, 8 GiB at k*N = 15), the
+# lumped generator sums them a block of rows at a time for its diagonal.
 GENERATOR_LIMIT = 12
+# Dense generator rows that :func:`lumped_density_generator` forms at a time
+# (8 MiB at k*N = 12).
+ROW_SUM_BLOCK = 256
 # Largest rate difference between members of one count class that
 # :func:`lumped_density_generator` accepts as lumpable.
 LUMPING_TOL = 1e-9
@@ -213,6 +221,26 @@ def _site_rates(spec: LoopSpec):
     return idx, np.exp(expo), np.exp(-expo)
 
 
+def _flip_table(spec: LoopSpec):
+    """Targets and rates of every configuration's k*N single-site flips.
+
+    Both have shape (2^(kN), kN); column i*N + pos flips site (i, pos), at
+    the down rate of type i if the site is +1 and the up rate otherwise.
+    """
+    idx, up, down = _site_rates(spec)
+    bits = np.int64(1) << np.arange(spec.k * spec.N, dtype=np.int64)
+    types = np.repeat(np.arange(spec.k), spec.N)
+    plus = (idx[:, None] & bits) != 0
+    return idx[:, None] ^ bits, np.where(plus, down[:, types], up[:, types])
+
+
+def _dense_rows(targets: np.ndarray, rates: np.ndarray) -> np.ndarray:
+    """Dense generator rows of the flip table rows given, diagonal left zero."""
+    rows = np.zeros((len(targets), 1 << targets.shape[1]))
+    rows[np.arange(len(targets))[:, None], targets] = rates
+    return rows
+
+
 def generator_matrix(spec: LoopSpec) -> np.ndarray:
     """Dense generator of the spin-flip chain over all 2^(kN) configurations.
 
@@ -222,14 +250,29 @@ def generator_matrix(spec: LoopSpec) -> np.ndarray:
     k*N = :data:`GENERATOR_LIMIT`.
     """
     _require_dense_generator(spec)
-    idx, up, down = _site_rates(spec)
-    q = np.zeros((len(idx), len(idx)))
-    for i in range(spec.k):
-        for pos in range(spec.N):
-            bit = 1 << (i * spec.N + pos)
-            q[idx, idx ^ bit] = np.where((idx & bit) != 0, down[:, i], up[:, i])
-    np.fill_diagonal(q, 0.0)
+    q = _dense_rows(*_flip_table(spec))
     np.fill_diagonal(q, -q.sum(axis=1))
+    return q
+
+
+def _count_grid(N: int, k: int) -> np.ndarray:
+    """All count vectors of {0..N}^k in lexicographic order, shape ((N+1)^k, k)."""
+    return np.indices((N + 1,) * k).reshape(k, -1).T
+
+
+def _grid_jumps(N: int, k: int, rates: np.ndarray) -> np.ndarray:
+    """Square matrix over :func:`_count_grid` with zero diagonal, holding
+    ``rates[n, 2i]`` at (n, n + e_i) and ``rates[n, 2i + 1]`` at (n, n - e_i)
+    wherever that target lies on the grid (the channel_rates order)."""
+    counts = _count_grid(N, k)
+    flat = np.arange(len(counts))
+    q = np.zeros((len(counts), len(counts)))
+    for i in range(k):
+        stride = (N + 1) ** (k - 1 - i)
+        up = flat[counts[:, i] < N]
+        q[up, up + stride] = rates[up, 2 * i]
+        down = flat[counts[:, i] > 0]
+        q[down, down - stride] = rates[down, 2 * i + 1]
     return q
 
 
@@ -239,54 +282,51 @@ def density_generator(spec: LoopSpec) -> np.ndarray:
     States are count vectors ordered lexicographically; the rate from n to
     n +/- e_i is N * beta for the matching jump direction.
     """
-    N = spec.N
-    k = spec.k
-    shape = (N + 1,) * k
-    size = (N + 1) ** k
-    q = np.zeros((size, size))
-    for flat in range(size):
-        n = np.array(np.unravel_index(flat, shape))
-        beta = channel_rates(spec, n / N)
-        for i in range(k):
-            if n[i] < N:
-                up = np.ravel_multi_index(tuple(n + np.eye(k, dtype=int)[i]), shape)
-                q[flat, up] = N * beta[2 * i]
-            if n[i] > 0:
-                dn = np.ravel_multi_index(tuple(n - np.eye(k, dtype=int)[i]), shape)
-                q[flat, dn] = N * beta[2 * i + 1]
+    rates = spec.N * channel_rates(spec, _count_grid(spec.N, spec.k) / spec.N)
+    q = _grid_jumps(spec.N, spec.k, rates)
     np.fill_diagonal(q, -q.sum(axis=1))
     return q
 
 
 def lumped_density_generator(spec: LoopSpec) -> np.ndarray:
-    """Project :func:`generator_matrix` onto count vectors.
+    """Project the spin-flip generator onto count vectors.
 
     For every source configuration the outgoing rates are summed over the
     target count class; all representatives of a count class must agree
     (the chain is lumpable because rates depend only on counts), which is
-    verified to :data:`LUMPING_TOL`.
+    verified to :data:`LUMPING_TOL`.  Every entry has the bits of summing
+    the rows of :func:`generator_matrix` over each class: a class's rates
+    are added in increasing target order, and each diagonal is the row sum
+    of the dense row, formed :data:`ROW_SUM_BLOCK` rows at a time.
     """
     _require_dense_generator(spec)
     N = spec.N
     k = spec.k
-    q = generator_matrix(spec)
-    size = q.shape[0]
-    idx = np.arange(size, dtype=np.int64)
-    counts = _config_counts(spec, idx)
-    shape = (N + 1,) * k
-    class_of = np.ravel_multi_index(tuple(counts.T), shape)
-    nclasses = (N + 1) ** k
-    # Sum outgoing rates over target classes for every configuration.
-    per_config = np.zeros((size, nclasses))
-    for c in range(size):
-        per_config[c] = np.bincount(class_of, weights=q[c], minlength=nclasses)
-    lumped = np.zeros((nclasses, nclasses))
-    for cls in range(nclasses):
-        members = np.flatnonzero(class_of == cls)  # never empty: C(N, n_i) >= 1
-        rows = per_config[members]
-        if np.max(np.abs(rows - rows[0])) > LUMPING_TOL:
-            raise AssertionError(f"count class {cls} is not lumpable to {LUMPING_TOL}")
-        lumped[cls] = rows[0]
+    targets, rates = _flip_table(spec)
+    size = len(targets)
+    diag = np.empty(size)
+    for start in range(0, size, ROW_SUM_BLOCK):
+        block = slice(start, start + ROW_SUM_BLOCK)
+        diag[block] = -_dense_rows(targets[block], rates[block]).sum(axis=1)
+    # A flip of type i reaches the class n + e_i (channel 2i) or n - e_i
+    # (channel 2i + 1); one bincount sums every configuration's channels.
+    src = np.arange(size)[:, None]
+    channel = 2 * np.repeat(np.arange(k), N) + (targets < src)
+    order = np.argsort(targets, axis=1)
+    keys = np.take_along_axis(src * (2 * k) + channel, order, axis=1).ravel()
+    weights = np.take_along_axis(rates, order, axis=1).ravel()
+    sums = np.bincount(keys, weights=weights, minlength=size * 2 * k).reshape(size, 2 * k)
+    rows = np.column_stack((diag, sums))
+    counts = _config_counts(spec, src[:, 0])
+    class_of = np.ravel_multi_index(tuple(counts.T), (N + 1,) * k)
+    # Every class has a member (C(N, n_i) >= 1); its first one stands for it.
+    first = np.unique(class_of, return_index=True)[1]
+    spread = np.max(np.abs(rows - rows[first[class_of]]), axis=1)
+    bad = class_of[spread > LUMPING_TOL]
+    if bad.size:
+        raise AssertionError(f"count class {bad.min()} is not lumpable to {LUMPING_TOL}")
+    lumped = _grid_jumps(N, k, sums[first])
+    np.fill_diagonal(lumped, diag[first])
     return lumped
 
 

@@ -163,14 +163,19 @@ def channel_rates(spec: LoopSpec, x) -> np.ndarray:
     beta is (1 - x_i) e^{E_i} for an upward jump of type i and x_i e^{-E_i}
     for a downward one; the process performs the jump x -> x +/- e_i/N at
     rate N * beta.  Boundary jumps get rate 0 through the (1 - x_i) or x_i
-    factor, so positive-rate jumps always stay inside [0, 1]^k.
+    factor, so positive-rate jumps always stay inside [0, 1]^k.  Types run
+    along the last axis, so a batch of states gives a batch of rates.
     """
     xv = _as_density_array(x)
     e = _exponents(spec, xv)
-    out = np.empty(2 * spec.k)
-    for i in range(spec.k):
-        out[2 * i] = (1.0 - xv[i]) * math.exp(e[i])
-        out[2 * i + 1] = xv[i] * math.exp(-e[i])
+    # math.exp, not np.exp: the two differ by 1 ulp on some inputs, and the
+    # samplers' rates come from math.exp.
+    flat = e.ravel().tolist()
+    grow = np.reshape([math.exp(v) for v in flat], e.shape)
+    shrink = np.reshape([math.exp(-v) for v in flat], e.shape)
+    out = np.empty(e.shape[:-1] + (2 * spec.k,))
+    out[..., 0::2] = (1.0 - xv) * grow
+    out[..., 1::2] = xv * shrink
     return out
 
 

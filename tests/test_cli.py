@@ -12,6 +12,7 @@ import pytest
 
 import tdsim
 from tdsim import ode
+from tdsim.analysis import REFERENCE_SAMPLE_DT
 from tdsim.cli import (
     MAX_GRID_POINTS,
     MAX_ODE_NODES,
@@ -328,6 +329,11 @@ class TestConfigErrors:
             (["simulate", "--seed", "-3"], None, "seed"),
             (["converge", "--seed", "-3", "--N", "50"], None, "seed"),
             (["validate", "--seed", "-3"], None, "seed"),
+            # Rate exponents beyond double range, checked before any point runs.
+            (["bifurcate", "--grid", "400"], None, "grid"),
+            (["bifurcate", "--grid=-400"], None, "grid"),
+            (["bifurcate", "--grid", "0,1,2,400"], None, "grid"),
+            (["converge", "--seed", "1", "--N", "50", "--t-end", "1e9"], None, "t-end"),
         ],
     )
     def test_exits_2_naming_the_field(self, argv, env, field, tmp_path, monkeypatch, capsys):
@@ -374,6 +380,26 @@ class TestConfigErrors:
         monkeypatch.setattr(ode, "integrate", reached)
         assert run(["ode"] + argv + ["--out", str(tmp_path / "never.csv")]) == 1
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("t_end, code", [
+        (MAX_ODE_NODES * REFERENCE_SAMPLE_DT, 1),  # reaches the reference integration
+        (1.001 * MAX_ODE_NODES * REFERENCE_SAMPLE_DT, 2),
+        (1e300, 2),
+    ])
+    def test_converge_reference_nodes_checked_before_integrating(self, t_end, code, tmp_path,
+                                                                 monkeypatch, capsys):
+        calls = []
+
+        def reached(*args, **kwargs):
+            calls.append(args)
+            raise RuntimeError("stop before integrating")
+
+        monkeypatch.setattr(ode, "integrate", reached)
+        argv = ["converge", "--seed", "1", "--N", "50", "--t-end", repr(t_end)]
+        assert run(argv + ["--out", str(tmp_path / "never.csv")]) == code
+        assert len(calls) == (code == 1)
+        if code == 2:
+            assert f"t-end: t_end / {REFERENCE_SAMPLE_DT!r}" in capsys.readouterr().err
 
     def test_grid_at_the_point_limit_is_accepted(self):
         assert len(_parse_grid(f"0:{MAX_GRID_POINTS - 1}:1")) == MAX_GRID_POINTS
@@ -453,11 +479,12 @@ class TestWriteDataset:
 
     @pytest.mark.parametrize("rows", [
         None, [], [[3, "check\nname", None, 0.5], [1e-300, "pass", -0.0, float("nan")]],
+        np.empty((0, 4)), np.array([[5e-324, -0.0, float("inf"), float("-inf")]]),
     ])
     def test_json_is_one_dumps_of_the_payload(self, rows, tmp_path):
         """``None`` stands for :meth:`table`, which crosses a block boundary."""
         table = self.table() if rows is None else rows
-        rows = table.tolist() if rows is None else rows
+        rows = table.tolist() if isinstance(table, np.ndarray) else rows
         config = {"command": "converge", "seed": 3}
         out = tmp_path / "out.json"
         write_dataset(str(out), config, ["a", "b", "c", "d"], table, "json",

@@ -6,9 +6,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tdsim.model import LoopSpec, channel_rates
+from tdsim import micro
+from tdsim.model import LoopSpec, _exponents, channel_rates
 from tdsim.micro import (
+    LUMPING_TOL,
     SpinConfiguration,
+    _config_counts,
     density_generator,
     energy_deltas,
     generator_matrix,
@@ -42,6 +45,58 @@ def brute_hamiltonian(config):
                 spec, j, int(config.spins[j, l]), i, int(config.spins[i, n])
             )
     return -total / spec.N
+
+
+def reference_lumped(spec):
+    """Dense-matrix lumping: bincount every row of generator_matrix by class."""
+    N = spec.N
+    k = spec.k
+    q = generator_matrix(spec)
+    size = q.shape[0]
+    counts = _config_counts(spec, np.arange(size, dtype=np.int64))
+    class_of = np.ravel_multi_index(tuple(counts.T), (N + 1,) * k)
+    nclasses = (N + 1) ** k
+    lumped = np.zeros((nclasses, nclasses))
+    for cls in range(nclasses):
+        members = np.flatnonzero(class_of == cls)
+        rows = np.array([np.bincount(class_of, weights=q[c], minlength=nclasses)
+                         for c in members])
+        if np.max(np.abs(rows - rows[0])) > LUMPING_TOL:
+            raise AssertionError(f"count class {cls} is not lumpable to {LUMPING_TOL}")
+        lumped[cls] = rows[0]
+    return lumped
+
+
+def reference_density_generator(spec):
+    """Per-state loop over the grid, one exponent evaluation per state."""
+    N = spec.N
+    k = spec.k
+    shape = (N + 1,) * k
+    size = (N + 1) ** k
+    q = np.zeros((size, size))
+    for flat in range(size):
+        n = np.array(np.unravel_index(flat, shape))
+        x = n / N
+        e = _exponents(spec, x)
+        for i in range(k):
+            if n[i] < N:
+                up = np.ravel_multi_index(tuple(n + np.eye(k, dtype=int)[i]), shape)
+                q[flat, up] = N * ((1.0 - x[i]) * math.exp(e[i]))
+            if n[i] > 0:
+                dn = np.ravel_multi_index(tuple(n - np.eye(k, dtype=int)[i]), shape)
+                q[flat, dn] = N * (x[i] * math.exp(-e[i]))
+    np.fill_diagonal(q, -q.sum(axis=1))
+    return q
+
+
+def same_bits(a, b):
+    """Bitwise equality without copying the arrays into bytes."""
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def random_spec(rng, k, N):
+    return LoopSpec(J=float(rng.uniform(-3, 3)), delta=float(rng.uniform(0, 1)),
+                    kappa=tuple(rng.uniform(-1, 1, k)), N=N, k=k)
 
 
 def all_configs(spec):
@@ -230,6 +285,50 @@ class TestProjectionEquivalence:
             lumped = lumped_density_generator(spec)
             dens = density_generator(spec)
             assert np.abs(lumped - dens).max() < 1e-12
+
+
+class TestLumpedGenerator:
+    @pytest.mark.parametrize("k, N", [(k, N) for k in (2, 3, 4, 6, 12)
+                                      for N in range(1, 12 // k + 1)])
+    def test_bitwise_equal_to_dense_lumping(self, k, N):
+        rng = np.random.default_rng(1000 * k + N)
+        for _ in range(1 if k * N == 12 else 3):
+            spec = random_spec(rng, k, N)
+            assert same_bits(lumped_density_generator(spec), reference_lumped(spec))
+
+    def test_memory_peak_at_the_limit(self):
+        spec = LoopSpec.with_half_j(J=1.2, delta=0.3, N=4)
+        tracemalloc.start()
+        try:
+            lumped_density_generator(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 << 20  # the dense 4096-square generator alone is 128 MiB
+
+    def test_unlumpable_rates_are_caught(self, monkeypatch):
+        spec = LoopSpec.with_half_j(J=1.2, delta=0.3, N=2)
+        site_rates = micro._site_rates
+
+        def skewed(spec):
+            idx, up, down = site_rates(spec)
+            up = up.copy()
+            up[0b000001, 1] *= 1.0 + 1e-6  # configs 0b01 and 0b10 share class (1, 0, 0)
+            return idx, up, down
+
+        monkeypatch.setattr(micro, "_site_rates", skewed)
+        with pytest.raises(AssertionError, match="count class 9 is not lumpable"):
+            lumped_density_generator(spec)
+        with pytest.raises(AssertionError, match="count class 9 is not lumpable"):
+            reference_lumped(spec)
+
+
+class TestDensityGenerator:
+    @pytest.mark.parametrize("k, N", [(2, N) for N in range(1, 9)]
+                             + [(3, N) for N in range(1, 9)] + [(4, N) for N in (1, 2, 3)])
+    def test_bitwise_equal_to_per_state_loop(self, k, N):
+        spec = random_spec(np.random.default_rng(2000 * k + N), k, N)
+        assert same_bits(density_generator(spec), reference_density_generator(spec))
 
 
 class TestReversibility:

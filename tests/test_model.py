@@ -208,6 +208,13 @@ class TestVectorField:
         batch = _exponents(spec, xs)
         for x, e in zip(xs, batch):
             assert np.array_equal(e, _exponents(spec, x))
+        rates = channel_rates(spec, xs.reshape(5, 1, 4))
+        assert rates.shape == (5, 1, 8)
+        for x, r in zip(xs, rates[:, 0]):
+            expected = []
+            for xi, ei in zip(x, _exponents(spec, x)):
+                expected += [(1.0 - xi) * math.exp(ei), xi * math.exp(-ei)]
+            assert r.tolist() == expected
 
     def test_field_closure_matches(self):
         rng = np.random.default_rng(3)
