@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from tdsim import ode
+from tdsim import jump, ode
 from tdsim.jump import default_thinning, direct_step, ssa_simulate, sup_distance
+from tdsim.micro import density_generator
 from tdsim.model import DensityState, LoopSpec, channel_rates, vector_field
 from tdsim.trajectory import Trajectory
 
@@ -57,12 +58,16 @@ def _reference_step_3(spec):
 
 def reference_ssa(spec, x0, t_end, seed, thinning=None):
     """Plain per-event sampler: recomputes every exponent at every event and
-    keeps a count tuple per recorded event.  Returns (times, states, events)."""
+    keeps a count tuple per recorded event.  Returns (times, states, events,
+    variate blocks drawn)."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    blocks = 0
 
     def pairs():
+        nonlocal blocks
         size = 256
         while True:
+            blocks += 1
             yield from zip(rng.standard_exponential(size).tolist(), rng.random(size).tolist())
             size = 8192
 
@@ -84,7 +89,16 @@ def reference_ssa(spec, x0, t_end, seed, thinning=None):
     if times[-1] < t_end:
         times.append(t_end)
         states.append(tuple(n))
-    return np.array(times), np.array(states, dtype=float) / spec.N, event
+    return np.array(times), np.array(states, dtype=float) / spec.N, event, blocks
+
+
+def assert_same_path(traj, spec, x0, t_end, seed, thinning=None):
+    """``traj`` has the bytes, events and variate blocks of reference_ssa."""
+    times, states, events, blocks = reference_ssa(spec, x0, t_end, seed, thinning)
+    assert traj.meta["events"] == events
+    assert traj.meta["rng_blocks"] == blocks
+    assert traj.times.tobytes() == times.tobytes()
+    assert traj.states.tobytes() == states.tobytes()
 
 
 class TestSamplerOracle:
@@ -96,11 +110,8 @@ class TestSamplerOracle:
         spec = LoopSpec.with_half_j(J=1.3, delta=0.3, N=N, k=k)
         x0 = DensityState.from_counts([i * N // (k - 1) for i in range(k)], N)
         traj = ssa_simulate(spec, x0, 12.0 / k, seed=40 + k, thinning=thinning)
-        times, states, events = reference_ssa(spec, x0, 12.0 / k, 40 + k, thinning)
-        assert events > 256 + 8192
-        assert traj.meta["events"] == events
-        assert traj.times.tobytes() == times.tobytes()
-        assert traj.states.tobytes() == states.tobytes()
+        assert traj.meta["events"] > 256 + 8192
+        assert_same_path(traj, spec, x0, 12.0 / k, 40 + k, thinning)
 
     @pytest.mark.parametrize("thinning", [7, None])
     @pytest.mark.parametrize("k", [3, 5])
@@ -123,12 +134,9 @@ class TestSamplerOracle:
         spec = LoopSpec(J=1.0, delta=0.3, kappa=(0.1,) * k, N=2, k=k)
         x0 = DensityState.from_counts([i % 3 for i in range(k)], 2)
         traj = ssa_simulate(spec, x0, 1.0, seed=5, thinning=thinning)
-        times, states, events = reference_ssa(spec, x0, 1.0, 5, thinning)
         full = reference_ssa(spec, x0, 1.0, 5, 1)[1]
         assert np.any(np.diff(full[:, -1]) != 0)  # the last type's channels fired
-        assert traj.meta["events"] == events
-        assert traj.times.tobytes() == times.tobytes()
-        assert traj.states.tobytes() == states.tobytes()
+        assert_same_path(traj, spec, x0, 1.0, 5, thinning)
 
     @pytest.mark.parametrize(
         "k, N, t_end",
@@ -142,6 +150,153 @@ class TestSamplerOracle:
         meta = ssa_simulate(spec, x0, t_end, seed=9).meta
         pairs = meta["events"] + 1
         assert meta["rng_blocks"] == 1 + math.ceil(max(0, pairs - 256) / 8192)
+
+
+class TestWindowedLoop:
+    """The k = 3 loop runs windows of numpy sweeps checked with math.exp,
+    and the scalar loop where windows do not pay."""
+
+    @pytest.mark.parametrize("thinning", [1, 7, None])
+    @pytest.mark.parametrize("J", [1.0, 2.5])
+    @pytest.mark.parametrize("N", [10, 100, 1000, 10_000, 100_000])
+    def test_bitwise_equal_to_reference(self, N, J, thinning):
+        # About 2e4 events: the first variate block runs scalar, the next
+        # two through windows or, where they do not settle, the scalar loop.
+        spec = LoopSpec.with_half_j(J=J, delta=0.3, N=N)
+        x0 = DensityState.from_counts((4 * N // 5, N // 5, N // 2), N)
+        t_end = 7000.0 / N
+        traj = ssa_simulate(spec, x0, t_end, seed=N + int(10 * J), thinning=thinning)
+        assert traj.meta["events"] > 256 + 8192
+        assert_same_path(traj, spec, x0, t_end, N + int(10 * J), thinning)
+
+    @pytest.mark.parametrize("thinning", [1, 7, None])
+    @pytest.mark.parametrize("stop", [100, 255, 256, 8447, 8448])
+    def test_t_end_at_an_event_near_block_edges(self, stop, thinning):
+        # t_end is the time of event `stop` (from 0), so that event's pair
+        # is the stopping draw: inside the first 256-pair block, its last
+        # pair, the first of the second block, its last, the first of the third.
+        spec = LoopSpec.with_half_j(J=1.0, delta=0.3, N=10_000)
+        x0 = DensityState.from_counts((8000, 2000, 5000), 10_000)
+        t_end = float(ssa_simulate(spec, x0, 1.0, seed=2, thinning=1).times[stop + 1])
+        traj = ssa_simulate(spec, x0, t_end, seed=2, thinning=thinning)
+        assert traj.meta["events"] == stop
+        assert traj.meta["rng_blocks"] == 1 + (stop >= 256) + (stop >= 256 + 8192)
+        assert_same_path(traj, spec, x0, t_end, 2, thinning)
+
+    def test_a_wrong_guess_changes_no_bit(self, monkeypatch):
+        # Skewing the guess's exponents moves its channels near every
+        # boundary; math.exp recomputes each event, so only the sweeps move.
+        spec = LoopSpec.with_half_j(J=1.0, delta=0.3, N=10_000)
+        x0 = DensityState.from_counts((8000, 2000, 5000), 10_000)
+        honest = ssa_simulate(spec, x0, 1.0, seed=4)
+        monkeypatch.setattr(jump, "_guess_exp", lambda x: np.exp(x * (1 + 1e-3)))
+        skewed = ssa_simulate(spec, x0, 1.0, seed=4)
+        assert skewed.meta["sweeps"] != honest.meta["sweeps"]
+        assert skewed.meta["window_events"] > 0.9 * skewed.meta["events"]
+        assert skewed.meta["events"] == honest.meta["events"]
+        assert skewed.times.tobytes() == honest.times.tobytes()
+        assert skewed.states.tobytes() == honest.states.tobytes()
+
+    def test_scalar_loop_resumes_inside_a_block(self):
+        # N = 1000, J = 1.5: some windows do not settle, and the scalar loop
+        # takes over from their last state for the rest of the block.
+        spec = LoopSpec.with_half_j(J=1.5, delta=0.0, N=1000)
+        x0 = DensityState.from_counts((800, 200, 500), 1000)
+        traj = ssa_simulate(spec, x0, 10.0, seed=3, thinning=1)
+        scalar = traj.meta["events"] - traj.meta["window_events"]
+        assert traj.meta["window_events"] > 0 and scalar > 256
+        assert_same_path(traj, spec, x0, 10.0, 3, 1)
+
+    def test_counters_show_where_windows_run(self):
+        # Large N: rates barely move within a window, which settles in a few
+        # sweeps.  N = 100 at J = 2.5: windows would not settle, and the
+        # scalar loop runs every event.
+        big = LoopSpec.with_half_j(J=1.0, delta=0.3, N=10_000)
+        meta = ssa_simulate(big, DensityState.from_counts((8000, 2000, 5000), 10_000),
+                            1.0, seed=6).meta
+        assert meta["window_events"] > 0.95 * meta["events"]
+        assert 0 < meta["sweeps"] < meta["events"] / 256
+        small = LoopSpec.with_half_j(J=2.5, delta=0.0, N=100)
+        meta = ssa_simulate(small, DensityState.from_counts((50, 50, 50), 100), 100.0,
+                            seed=6).meta
+        assert meta["events"] > 4 * 8192
+        assert meta["window_events"] == meta["sweeps"] == 0
+        generic = LoopSpec.with_half_j(J=1.0, delta=0.3, N=10_000, k=4)
+        meta = ssa_simulate(generic, DensityState.from_counts((5000,) * 4, 10_000), 0.5,
+                            seed=6).meta
+        assert meta["window_events"] == meta["sweeps"] == 0
+
+
+def transient_law(spec, n0, t):
+    """p(t) = p(0) exp(Qt) on the count grid, by uniformization (Jensen 1953):
+    the Poisson(rate * t) mixture of the powers of I + Q / rate."""
+    q = density_generator(spec)
+    rate = float(-q.diagonal().min())
+    assert rate * t < 500  # exp(-rate * t) stays a normal double
+    step = np.eye(len(q)) + q / rate
+    p = np.zeros(len(q))
+    p[np.ravel_multi_index(n0, (spec.N + 1,) * spec.k)] = 1.0
+    weight = math.exp(-rate * t)
+    law = weight * p
+    mass = weight
+    j = 0
+    while mass < 1.0 - 1e-13:
+        j += 1
+        p = p @ step
+        weight *= rate * t / j
+        law += weight * p
+        mass += weight
+    return law
+
+
+def g_test(observed, expected):
+    """(G statistic, degrees of freedom), with the cells expected below 5
+    pooled into one, and that cell, if still below 5, into the smallest."""
+    small = expected < 5
+    obs = np.append(observed[~small], observed[small].sum())
+    exp = np.append(expected[~small], expected[small].sum())
+    if exp[-1] < 5:
+        smallest = int(np.argmin(exp[:-1]))
+        obs[smallest] += obs[-1]
+        exp[smallest] += exp[-1]
+        obs, exp = obs[:-1], exp[:-1]
+    hit = obs > 0
+    return 2.0 * float(np.sum(obs[hit] * np.log(obs[hit] / exp[hit]))), len(exp) - 1
+
+
+class TestExactLaw:
+    """The final state of fixed-seed runs against the exact transient law.
+
+    The law is exact and the run count fixed, so the pooling and the degrees
+    of freedom are too; each threshold is the chi-square quantile at a
+    false-alarm rate of 1e-4 for its degrees of freedom (scipy.stats.chi2.isf,
+    hard-coded).  Against the law of a spec with J 10 % lower, G must exceed
+    three times the threshold.
+    """
+
+    RUNS = 20_000
+
+    @pytest.mark.parametrize(
+        "k, N, J, delta, n0, dof, threshold",
+        [
+            (3, 4, 2.5, 0.0, (4, 0, 2), 87, 144.79),  # the unrolled k = 3 loop
+            (4, 2, 1.5, 0.3, (2, 0, 1, 2), 71, 124.07),  # the generic loop
+        ],
+    )
+    def test_final_state_law(self, k, N, J, delta, n0, dof, threshold):
+        spec = LoopSpec.with_half_j(J=J, delta=delta, N=N, k=k)
+        x0 = DensityState.from_counts(n0, N)
+        finals = np.array([ssa_simulate(spec, x0, 1.0, seed=s).final_state
+                           for s in range(self.RUNS)])
+        cells = np.ravel_multi_index(tuple(np.rint(finals * N).astype(int).T), (N + 1,) * k)
+        observed = np.bincount(cells, minlength=(N + 1) ** k).astype(float)
+        law = transient_law(spec, n0, 1.0)
+        assert law.sum() == pytest.approx(1.0, abs=1e-12)
+        g, df = g_test(observed, self.RUNS * law)
+        assert df == dof
+        assert g < threshold
+        wrong = LoopSpec.with_half_j(J=0.9 * J, delta=delta, N=N, k=k)
+        assert g_test(observed, self.RUNS * transient_law(wrong, n0, 1.0))[0] > 3 * threshold
 
 
 class TestSsaSimulate:
