@@ -68,9 +68,12 @@ def _parse_grid(text: str) -> list[float]:
     return values
 
 
-def _parse_x0(text: str, k: int) -> tuple[float, ...]:
+def _parse_x0(args, k: int) -> tuple[float, ...]:
+    """``--x0`` as k densities; 1/2 each if absent, recorded as if given."""
+    if args.x0 is None:
+        args.x0 = ",".join(["0.5"] * k)
     try:
-        vals = tuple(float(p) for p in text.split(","))
+        vals = tuple(float(p) for p in args.x0.split(","))
     except ValueError as exc:
         raise ConfigError(f"x0: {exc}") from None
     if len(vals) != k:
@@ -286,7 +289,7 @@ def cmd_simulate(args) -> int:
     if args.thinning is not None and args.thinning < 1:
         raise ConfigError("thinning: must be >= 1")
     seed = _resolve_seed(args)
-    x0 = _parse_x0(args.x0, spec.k)
+    x0 = _parse_x0(args, spec.k)
     counts = [int(round(v * spec.N)) for v in x0]
     if args.level == "density":
         state0 = DensityState.from_counts(counts, spec.N)
@@ -304,7 +307,7 @@ def cmd_simulate(args) -> int:
 def cmd_ode(args) -> int:
     spec = _build_spec(args)
     _check_t_end(args.t_end)
-    x0 = _parse_x0(args.x0, spec.k)
+    x0 = _parse_x0(args, spec.k)
     try:
         settings = ode.IntegratorSettings(
             method=args.method, step=args.step, rtol=args.rtol,
@@ -383,7 +386,7 @@ def cmd_converge(args) -> int:
     seed = _resolve_seed(args)
     args.N = args.N_list[0]  # base spec; the sweep replaces N per entry
     base = _build_spec(args)
-    x0 = _parse_x0(args.x0, base.k)
+    x0 = _parse_x0(args, base.k)
     result = analysis.convergence_experiment(
         base, args.N_list, np.array(x0), args.t_end, args.replicas, seed
     )
@@ -520,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_args(p, default_N=100)
     p.add_argument("--t-end", dest="t_end", type=float, default=10.0)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--x0", default="0.5,0.5,0.5")
+    p.add_argument("--x0", default=None, help="k densities (default 0.5 each)")
     p.add_argument("--level", choices=("density", "micro"), default="density")
     p.add_argument("--thinning", type=int, default=None, help="record every n-th event")
     _add_output_args(p)
@@ -529,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ode", help="integrate the deterministic limit")
     _add_model_args(p, default_N=100)
     p.add_argument("--t-end", dest="t_end", type=float, default=10.0)
-    p.add_argument("--x0", default="0.5,0.5,0.5")
+    p.add_argument("--x0", default=None, help="k densities (default 0.5 each)")
     p.add_argument("--method", choices=("rk4", "rk45"), default="rk45")
     p.add_argument("--step", type=float, default=1e-3, help="rk4 step size")
     p.add_argument("--rtol", type=float, default=1e-8)
@@ -548,7 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_args(p, default_N=100, repeat_N=True)
     p.add_argument("--t-end", dest="t_end", type=float, default=5.0)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--x0", default="0.5,0.5,0.5")
+    p.add_argument("--x0", default=None, help="k densities (default 0.5 each)")
     p.add_argument("--replicas", type=int, default=100)
     _add_output_args(p)
     p.set_defaults(func=cmd_converge)

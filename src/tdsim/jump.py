@@ -8,22 +8,20 @@ then pick the channel in proportion to its rate.  This generates the same
 process law as the random-time-change construction with one Poisson clock
 per jump direction; the direct method is simply the cheaper sampler.
 
-:func:`direct_step` is the one count-level step for any k.  Three types,
-the hot path of ensemble runs, take a loop with the same law, stream use
-and bits that advances a path one window of variates at a time: numpy
-guesses every event's channel from the window's first state and sweeps
-until the guessed states stop changing, then every settled event is
-recomputed with the scalar arithmetic and ``math.exp`` and the window is
-cut at the first channel the guess got wrong.  Where windows do not settle
-quickly (small N, strong coupling), an unrolled scalar loop runs instead;
-an event moves one type, and only its two neighbours' exponents read that
-count, so it recomputes just those two (the dependency-graph idea of
-Gibson & Bruck, J. Phys. Chem. A 104, 2000).  Both loops read their
-variates from :func:`_variates` and record a path as a channel stream, one
-index per event (channel 2i raises type i, 2i + 1 lowers it);
-:func:`ssa_simulate` rebuilds the recorded counts from it in one numpy pass
-per type.  The per-site sampler :func:`tdsim.micro.micro_simulate` runs on
-:func:`ssa_simulate`.
+One loop serves every k, one window of variates at a time: numpy guesses
+every event's channel from the window's first state and sweeps until the
+guessed states stop changing, then every settled event is recomputed with
+the scalar arithmetic and ``math.exp``, and the window is cut at the first
+channel the guess got wrong.  Where windows do not settle quickly (small N,
+strong coupling), a scalar loop runs instead (unrolled for k = 3); an event
+moves one type, so only the two exponents that read its count are
+recomputed (the dependency-graph idea of Gibson & Bruck, J. Phys. Chem. A
+104, 2000).  Both take their constants from
+:func:`tdsim.model.exponent_terms`, read their variates from
+:func:`_variates` and record a path as a channel stream, one index per event
+(channel 2i raises type i, 2i + 1 lowers it); :func:`ssa_simulate` rebuilds
+the recorded counts from it in one numpy pass per type.  The per-site
+sampler :func:`tdsim.micro.micro_simulate` runs on :func:`ssa_simulate`.
 
 Randomness: each run owns a PCG64 generator seeded through
 ``numpy.random.SeedSequence(seed)``.  Ensemble helpers derive per-replica
@@ -33,16 +31,17 @@ order.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from array import array
+from bisect import bisect_right
+from itertools import accumulate
 
 import numpy as np
 
-from .model import DensityState, LoopSpec
+from .model import DensityState, LoopSpec, exponent_terms
 from .trajectory import Trajectory
 
-__all__ = ["ssa_simulate", "sup_distance", "derive_seed", "direct_step"]
+__all__ = ["ssa_simulate", "sup_distance", "derive_seed"]
 
 # RNG variates are drawn in blocks; the first block is small so that short
 # runs do not pay for a full refill.
@@ -89,77 +88,55 @@ def _channel_buffer(k: int):
     return bytearray() if 2 * k <= 256 else array(_channel_dtype(k).char)
 
 
-def direct_step(spec: LoopSpec):
-    """Direct-method step on counts: (n, e, u) -> (e / total rate, channel).
-
-    e is a standard exponential and u a uniform variate; the channel (in
-    :func:`tdsim.model.channel_rates` order, rate N * beta_l(n / N)) is the
-    first whose cumulative rate exceeds u * total.  The total is at least
-    N e^{-MAX_EXPONENT} > 0, so it never vanishes.
-    """
+def _scalar(spec, n, t, t_end, pairs, times, record, stride, event):
+    """Scalar loop over ``pairs`` for any k, from counts n at time t after
+    ``event`` events: the running sums of the 2k rates are added one at a
+    time, the total is the last, and the channel is the first above
+    u * total.  Returns (counts, t, event, stopped), where stopped means
+    t_end was reached."""
     N = spec.N
-    dJ = spec.delta * spec.J
-    hJ = (1.0 - spec.delta) * spec.J
-    types = tuple(
-        (i, spec.anticlockwise(i), spec.clockwise(i), kap) for i, kap in enumerate(spec.kappa)
-    )
-    last = 2 * spec.k - 1
-    rates = [0.0] * (2 * spec.k)
+    invN = 1.0 / N
+    dJ, hJ, types = exponent_terms(spec)
+    k = spec.k
+    last = 2 * k - 1
     exp = math.exp
-
-    def step(n, e, u):
-        tot = 0.0
-        for i, a, h, kap in types:
-            expo = 2.0 * (-dJ * (n[a] / N) - hJ * (n[h] / N) + kap)
-            r_up = (N - n[i]) * exp(expo)
-            r_dn = n[i] * exp(-expo)
-            rates[2 * i] = r_up
-            rates[2 * i + 1] = r_dn
-            tot += r_up + r_dn
-        target = u * tot
-        acc = 0.0
-        for c, r in enumerate(rates):
-            acc += r
-            if target < acc:
-                return e / tot, c
-        return e / tot, last
-
-    return step
-
-
-def _simulate_counts_generic(spec, n, t_end, blocks, stride):
-    """Direct-method loop for any k.  Returns (recorded times, channel
-    stream, window events, sweeps); the last two are 0, as it runs no windows."""
-    step = direct_step(spec)
-    times = [0.0]
-    channels = _channel_buffer(spec.k)
-    record = channels.append
-    t = 0.0
-    event = 0
-    for e, u in itertools.chain.from_iterable(zip(E.tolist(), U.tolist()) for E, U in blocks):
-        dt, chosen = step(n, e, u)
-        t_next = t + dt
+    n = list(n)
+    grow, shrink, rates = [0.0] * k, [0.0] * k, [0.0] * (2 * k)
+    # Each entry (i, a(i), h(i), kappa_i, 2i) names a type whose exponent is
+    # due; at first every type's, after type j moved the two that read n[j].
+    fresh = [(i, a, h, kap, 2 * i) for i, (a, h, kap) in enumerate(types)]
+    readers = [[fresh[i] for i in sorted({(j + 1) % k, (j - 1) % k})] for j in range(k)]
+    for e, u in pairs:
+        for i, a, h, kap, c in fresh:
+            x = 2.0 * (-dJ * (n[a] * invN) - hJ * (n[h] * invN) + kap)
+            grow[i] = p = exp(x)
+            shrink[i] = q = exp(-x)
+            rates[c] = (N - n[i]) * p
+            rates[c + 1] = n[i] * q
+        cum = list(accumulate(rates))
+        tot = cum[last]
+        t_next = t + e / tot
         if t_next >= t_end:
-            break
-        n[chosen >> 1] += 1 if (chosen & 1) == 0 else -1
+            return n, t, event, True
+        chosen = bisect_right(cum, u * tot, 0, last)
+        j = chosen >> 1
+        n[j] += -1 if chosen & 1 else 1
+        rates[2 * j] = (N - n[j]) * grow[j]
+        rates[2 * j + 1] = n[j] * shrink[j]
+        fresh = readers[j]
         record(chosen)
         t = t_next
         event += 1
         if event % stride == 0:
             times.append(t)
-    return times, channels, 0, 0
+    return n, t, event, False
 
 
 def _scalar_3(spec, n, t, t_end, pairs, times, record, stride, event):
-    """Unrolled three-type loop over ``pairs``, from counts n at time t after
-    ``event`` events.  An event moves one type, which only the other two
-    types' exponents read, so only theirs are recomputed.  Returns
-    (counts, t, event, stopped), where stopped means t_end was reached."""
+    """:func:`_scalar` unrolled for three types, with the same bits."""
     N = spec.N
     invN = 1.0 / N
-    k0, k1, k2 = spec.kappa
-    dJ = spec.delta * spec.J
-    hJ = (1.0 - spec.delta) * spec.J
+    dJ, hJ, ((_, _, k0), (_, _, k1), (_, _, k2)) = exponent_terms(spec)
     exp = math.exp
     n0, n1, n2 = n
     moved = -1
@@ -222,16 +199,16 @@ def _scalar_3(spec, n, t, t_end, pairs, times, record, stride, event):
     return [n0, n1, n2], t, event, False
 
 
-# The k = 3 loop advances a path one window of variates at a time.  It
-# guesses every event's channel with numpy from the window's first state,
-# rebuilds the states from the guessed channels and sweeps again until no
-# channel changes; states up to the first changed channel were built from
-# settled states, so every sweep settles at least one more event.  The
-# settled events are then recomputed with the scalar loop's expressions and
+# The loop advances a path one window of variates at a time.  It guesses
+# every event's channel with numpy from the window's first state, rebuilds
+# the states from the guessed channels and sweeps again until no channel
+# changes; states up to the first changed channel were built from settled
+# states, so every sweep settles at least one more event.  The settled
+# events are then recomputed with the scalar loop's expressions and
 # math.exp, and the window is cut at the first channel that differs from the
-# guess, so the guess decides nothing.  The constants were measured with
-# ssa_simulate on a 2-core x86 machine (CPython 3.11, numpy 2.4), as time per
-# event against the scalar loop's in the same process:
+# guess, so the guess decides nothing.  The constants were measured at k = 3
+# with ssa_simulate on a 2-core x86 machine (CPython 3.11, numpy 2.4), as
+# time per event against the unrolled scalar loop's in the same process:
 # - a window costs about 40 numpy calls; at 128 events it was slower than
 #   the scalar loop at every N, at 256 faster from N = 1e4 on, so narrower
 #   windows hand the rest of their variate block to the scalar loop, and so
@@ -255,56 +232,53 @@ _SETTLE_N = 400
 # windows; tests replace it with a wrong one to show that.
 _guess_exp = np.exp
 
-# Type i's exponent reads the counts in rows _DJ_ROWS[i] (weight delta * J)
-# and _HJ_ROWS[i] (weight (1 - delta) * J).
-_DJ_ROWS = [2, 0, 1]
-_HJ_ROWS = [1, 2, 0]
 
-
-class _Kernels3:
-    """The numpy steps of the windowed k = 3 loop for one spec.  Built on a
-    run's first window, so that importing the module allocates no array."""
+class _Kernels:
+    """The numpy steps of the windowed loop for one spec.  Built on a run's
+    first window, so that importing the module allocates no array."""
 
     def __init__(self, spec: LoopSpec):
+        k = spec.k
+        self.dJ, self.hJ, types = exponent_terms(spec)
+        # Type i's exponent reads the counts in rows a[i] (weight delta * J)
+        # and h[i] (weight (1 - delta) * J); for k = 2 they are one row.
+        self.a, self.h, kappa = (list(col) for col in zip(*types))
         # moves[:, c] is channel c's count change, +1 (even c) or -1 (odd c)
         # on type c >> 1.
-        self.moves = np.array([[1.0, -1.0, 0.0, 0.0, 0.0, 0.0],
-                               [0.0, 0.0, 1.0, -1.0, 0.0, 0.0],
-                               [0.0, 0.0, 0.0, 0.0, 1.0, -1.0]])
-        # Running sums of six rate rows as one product, for the guess only.
-        self.running = np.tril(np.ones((6, 6)))
+        self.moves = np.zeros((k, 2 * k))
+        self.moves[np.arange(2 * k) >> 1, np.arange(2 * k)] = [1.0, -1.0] * k
+        # Running sums of the rate rows as one product, for the guess only.
+        self.running = np.tril(np.ones((2 * k, 2 * k)))
         self.N = spec.N
         self.invN = 1.0 / spec.N
-        self.dJ = spec.delta * spec.J
-        self.hJ = (1.0 - spec.delta) * spec.J
-        self.kappa = np.array(spec.kappa)[:, None]
+        self.kappa = np.array(kappa)[:, None]
         # The exponents as one affine map of the counts: fewer numpy calls
         # than the loop's expression, and rounded differently, which only
         # the guess may be.
         self.intercept = 2.0 * self.kappa
-        self.slope = np.zeros((3, 3))
-        self.slope[range(3), _DJ_ROWS] = -2.0 * self.dJ * self.invN
-        self.slope[range(3), _HJ_ROWS] = -2.0 * self.hJ * self.invN
+        self.slope = np.zeros((k, k))
+        self.slope[range(k), self.a] = -2.0 * self.dJ * self.invN
+        self.slope[range(k), self.h] += -2.0 * self.hJ * self.invN
 
     def guess(self, G, U):
-        """Channels that np.exp picks at the count columns G (3, m); the
+        """Channels that np.exp picks at the count columns G (k, m); the
         scalar loop's choice nearly always, not always."""
         x = self.slope @ G
         x += self.intercept
-        rates = np.empty((6, G.shape[1]))
+        rates = np.empty((len(self.running), G.shape[1]))
         np.multiply(self.N - G, _guess_exp(x), out=rates[0::2])
         np.multiply(G, _guess_exp(np.negative(x, out=x)), out=rates[1::2])
         cum = self.running @ rates
-        return (U * cum[5] >= cum[:5]).sum(axis=0)
+        return (U * cum[-1] >= cum[:-1]).sum(axis=0)
 
     def exact(self, G, U):
         """(channels, totals) at the count columns G, bit for bit those of
         the scalar loop: its expressions in its order, and math.exp called
         once per distinct exponent."""
         q = G * self.invN
-        x = q[_DJ_ROWS]
+        x = q[self.a]
         x *= -self.dJ
-        h = q[_HJ_ROWS]
+        h = q[self.h]
         h *= self.hJ
         x -= h
         x += self.kappa
@@ -312,17 +286,17 @@ class _Kernels3:
         values, where = np.unique(x, return_inverse=True)
         where = where.reshape(x.shape)
         values = values.tolist()
-        cum = np.empty((6, G.shape[1]))
+        cum = np.empty((len(self.running), G.shape[1]))
         np.take(np.array([math.exp(v) for v in values]), where, out=cum[0::2])
         np.take(np.array([math.exp(-v) for v in values]), where, out=cum[1::2])
         cum[0::2] *= self.N - G
         cum[1::2] *= G
-        for row in range(1, 6):
+        for row in range(1, len(cum)):
             np.add(cum[row - 1], cum[row], out=cum[row])
-        return (U * cum[5] >= cum[:5]).sum(axis=0), cum[5]
+        return (U * cum[-1] >= cum[:-1]).sum(axis=0), cum[-1]
 
 
-def _window_3(kernels, n, t, t_end, E, U):
+def _window(kernels, n, t, t_end, E, U):
     """The exact events of one window from counts n at time t.
 
     Returns (channels, times, counts, sweeps, fixed, stopped): the accepted
@@ -331,7 +305,7 @@ def _window_3(kernels, n, t, t_end, E, U):
     whether the event after them falls at or past t_end.
     """
     m = len(E)
-    G = np.empty((3, m))
+    G = np.empty((len(n), m))
     G[:] = np.array(n, dtype=float)[:, None]
     guess = np.full(m, -1)
     lo = 0  # the states in columns 0 .. lo of G are settled
@@ -367,39 +341,40 @@ def _window_3(kernels, n, t, t_end, E, U):
     return exact[:accepted], times[:accepted], n, sweeps, fixed, stopped
 
 
-def _simulate_counts_3(spec, n, t_end, blocks, stride):
-    """Windowed three-type loop, with the scalar loop's law, stream use and
-    bits.  The first variate block runs scalar.  Where N >= _SETTLE_N (|J| +
-    1), later blocks run windows: the first is :data:`_WINDOW_MIN` variates
+def _simulate_counts(spec, n, t_end, blocks, stride):
+    """Windowed loop with the scalar loop's law, stream use and bits.  The
+    first variate block runs scalar.  Where N >= _SETTLE_N (|J| + 1),
+    later blocks run windows: the first is :data:`_WINDOW_MIN` variates
     wide, each doubles after a fixed point and halves otherwise, and one
     narrower than :data:`_WINDOW_MIN` hands the rest of its block to the
     scalar loop, after which windows start again at that width.  Returns
     (recorded times, channel stream, events accepted by windows, sweeps)."""
     restart = _WINDOW_MIN if spec.N >= _SETTLE_N * (abs(spec.J) + 1) else 0
+    scalar = _scalar_3 if spec.k == 3 else _scalar
     kernels = None
     times = [0.0]
-    channels = _channel_buffer(3)
+    channels = _channel_buffer(spec.k)
+    extend = channels.extend if isinstance(channels, bytearray) else channels.frombytes
     t = 0.0
-    event = window_events = sweeps = 0
-    window = 0
+    event = window_events = sweeps = window = 0
     for E, U in blocks:
         i = 0
         while i < len(E):
             m = min(window, len(E) - i)
             if m < _WINDOW_MIN:
                 pairs = zip(E[i:].tolist(), U[i:].tolist())
-                n, t, event, stopped = _scalar_3(
+                n, t, event, stopped = scalar(
                     spec, n, t, t_end, pairs, times, channels.append, stride, event)
                 if stopped:
                     return times, channels, window_events, sweeps
                 window = max(window, restart)
                 break
-            kernels = kernels or _Kernels3(spec)
-            chosen, when, n, used, fixed, stopped = _window_3(
+            kernels = kernels or _Kernels(spec)
+            chosen, when, n, used, fixed, stopped = _window(
                 kernels, n, t, t_end, E[i:i + m], U[i:i + m])
             sweeps += used
             if len(chosen):
-                channels += chosen.astype(np.uint8).tobytes()
+                extend(chosen.astype(_channel_dtype(spec.k)).tobytes())
                 times += when[(stride - 1 - event) % stride::stride].tolist()
                 t = float(when[-1])
                 event += len(chosen)
@@ -445,9 +420,9 @@ def ssa_simulate(
     depend on the thinning (which defaults per :func:`default_thinning`).
     Identical (spec, x0, t_end, seed, thinning) give identical output.
     ``meta`` counts the ``events`` and the ``rng_blocks`` of variates drawn,
-    and, for k = 3, the ``window_events`` accepted by windows and the
-    ``sweeps`` their guesses took (0 for other k).  The last two follow
-    numpy's exp kernel, which only the guess uses; no output bit does.
+    the ``window_events`` accepted by windows and the ``sweeps`` their
+    guesses took.  The last two follow numpy's exp kernel, which only the
+    guess uses; no output bit does.
     """
     if not math.isfinite(t_end) or t_end < 0:
         raise ValueError(f"t_end must be finite and non-negative, got {t_end!r}")
@@ -461,8 +436,7 @@ def ssa_simulate(
 
     blocks = []
     n0 = x0.counts
-    loop = _simulate_counts_3 if spec.k == 3 else _simulate_counts_generic
-    times, channels, window_events, sweeps = loop(
+    times, channels, window_events, sweeps = _simulate_counts(
         spec, list(n0), t_end, _variates(_stream(seed), blocks), stride)
     if times[-1] < t_end:
         times.append(t_end)

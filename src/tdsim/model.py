@@ -192,43 +192,66 @@ def vector_field(spec: LoopSpec, x) -> np.ndarray:
     return (1.0 - xv) * np.exp(e) - xv * np.exp(-e)
 
 
+def exponent_terms(spec: LoopSpec):
+    """(dJ, hJ, types) = (delta J, (1 - delta) J, ((a(i), h(i), kappa_i), ...)):
+    type i's exponent at densities y is ``2.0 * (-dJ * y[a] - hJ * y[h] +
+    kappa_i)``, as every sampler loop and fluid-limit field computes it."""
+    types = tuple((spec.anticlockwise(i), spec.clockwise(i), kap)
+                  for i, kap in enumerate(spec.kappa))
+    return spec.delta * spec.J, (1.0 - spec.delta) * spec.J, types
+
+
+def _inf_exp(v):
+    # Adaptive integrators probe trial states far outside [0,1]^k;
+    # degrade to inf like the vectorized path instead of raising.
+    try:
+        return math.exp(v)
+    except OverflowError:
+        return math.inf
+
+
 def field_closure(spec: LoopSpec):
-    """Fast callable y -> F(y) for integrators, returning Python floats.
+    """Fast callable y -> F(y) for integrators, on Python floats.
 
-    For k = 3 the field is scalar math on a 3-sequence returning a tuple:
-    it calls ``math.exp`` directly and, only when that overflows, recomputes
-    the six exponentials degrading to inf like numpy.  Other k return
-    ``vector_field(...).tolist()``.  Same formula and operation order as
-    :func:`vector_field`.
+    Same formula and operation order as :func:`vector_field`, with one
+    ``math.exp`` per exponential, so no bit follows numpy's exp kernel;
+    where that overflows, the exponentials are recomputed degrading to inf
+    like numpy.  k = 3 takes an unrolled field on a 3-sequence returning a
+    tuple; other k return a list.
     """
+    dJ, hJ, types = exponent_terms(spec)
     if spec.k != 3:
-        return lambda y: vector_field(spec, y).tolist()
-    dJ = -spec.delta * spec.J
-    hJ = -(1.0 - spec.delta) * spec.J
-    k0, k1, k2 = spec.kappa
-    fast_exp = math.exp
+        def terms_k(y, exp):
+            out = []
+            for i, (a, h, kap) in enumerate(types):
+                e = 2.0 * (-dJ * y[a] - hJ * y[h] + kap)
+                out.append((1.0 - y[i]) * exp(e) - y[i] * exp(-e))
+            return out
 
-    def exp(v):
-        # Adaptive integrators probe trial states far outside [0,1]^k;
-        # degrade to inf like the vectorized path instead of raising.
-        try:
-            return math.exp(v)
-        except OverflowError:
-            return math.inf
+        def field_k(y):
+            try:
+                return terms_k(y, math.exp)
+            except OverflowError:
+                return terms_k(y, _inf_exp)
+
+        return field_k
+    dJ, hJ = -dJ, -hJ
+    (_, _, k0), (_, _, k1), (_, _, k2) = types
+    fast_exp = math.exp
 
     def field3(y):
         y0, y1, y2 = y[0], y[1], y[2]
         e0 = 2.0 * (dJ * y2 + hJ * y1 + k0)
         e1 = 2.0 * (dJ * y0 + hJ * y2 + k1)
         e2 = 2.0 * (dJ * y1 + hJ * y0 + k2)
-        # math.exp raises only where exp() gives inf, so the retry keeps
+        # math.exp raises only where _inf_exp gives inf, so the retry keeps
         # every bit while the common case skips six wrapper calls.
         try:
             p0, m0, p1 = fast_exp(e0), fast_exp(-e0), fast_exp(e1)
             m1, p2, m2 = fast_exp(-e1), fast_exp(e2), fast_exp(-e2)
         except OverflowError:
-            p0, m0, p1 = exp(e0), exp(-e0), exp(e1)
-            m1, p2, m2 = exp(-e1), exp(e2), exp(-e2)
+            p0, m0, p1 = _inf_exp(e0), _inf_exp(-e0), _inf_exp(e1)
+            m1, p2, m2 = _inf_exp(-e1), _inf_exp(e2), _inf_exp(-e2)
         return (
             (1.0 - y0) * p0 - y0 * m0,
             (1.0 - y1) * p1 - y1 * m1,

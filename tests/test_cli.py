@@ -142,6 +142,23 @@ class TestOde:
         assert not out.exists()
 
 
+class TestDefaultX0:
+    @pytest.mark.parametrize("argv, k", [
+        (["simulate", "--k", "5", "--N", "40", "--t-end", "0.5", "--seed", "3"], 5),
+        (["simulate", "--N", "40", "--t-end", "0.5", "--seed", "3"], 3),
+        (["ode", "--k", "4", "--J", "1.2", "--t-end", "1"], 4),
+        (["converge", "--k", "2", "--N", "20", "--replicas", "2", "--t-end", "0.5",
+          "--seed", "1"], 2),
+    ])
+    def test_default_is_one_half_per_type(self, tmp_path, argv, k):
+        # Without --x0 every type starts at 1/2, with the bytes, header line
+        # included, of the explicit flag.
+        implicit, explicit = tmp_path / "implicit.csv", tmp_path / "explicit.csv"
+        assert run(argv + ["--out", str(implicit)]) == 0
+        assert run(argv + ["--x0", ",".join(["0.5"] * k), "--out", str(explicit)]) == 0
+        assert implicit.read_bytes() == explicit.read_bytes()
+
+
 class TestBifurcate:
     def test_single_point_grid(self, tmp_path):
         out = tmp_path / "bif.csv"

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from tdsim import jump, ode
-from tdsim.jump import default_thinning, direct_step, ssa_simulate, sup_distance
+from tdsim.jump import default_thinning, ssa_simulate, sup_distance
 from tdsim.micro import density_generator
 from tdsim.model import DensityState, LoopSpec, channel_rates, vector_field
 from tdsim.trajectory import Trajectory
@@ -24,24 +24,22 @@ def birth_death_stationary_mean(N):
     return sum(n * wn for n, wn in enumerate(w)) / (N * total)
 
 
-def _reference_step_3(spec):
-    """The unrolled k = 3 step's arithmetic, every exponent at every event."""
+def reference_step(spec):
+    """The samplers' arithmetic, every exponent at every event: type i's
+    exponent 2 (-dJ (n_a * invN) - hJ (n_h * invN) + kappa_i), the running
+    sums of the 2k rates added one by one, the total the last of them, and
+    the channel the first whose running sum exceeds u * total."""
     N = spec.N
     invN = 1.0 / N
-    k0, k1, k2 = spec.kappa
     dJ = spec.delta * spec.J
     hJ = (1.0 - spec.delta) * spec.J
+    types = [(i, (i - 1) % spec.k, (i + 1) % spec.k, kap) for i, kap in enumerate(spec.kappa)]
 
     def step(n, e, u):
-        n0, n1, n2 = n
-        e0 = 2.0 * (-dJ * (n2 * invN) - hJ * (n1 * invN) + k0)
-        e1 = 2.0 * (-dJ * (n0 * invN) - hJ * (n2 * invN) + k1)
-        e2 = 2.0 * (-dJ * (n1 * invN) - hJ * (n0 * invN) + k2)
-        rates = [
-            (N - n0) * math.exp(e0), n0 * math.exp(-e0),
-            (N - n1) * math.exp(e1), n1 * math.exp(-e1),
-            (N - n2) * math.exp(e2), n2 * math.exp(-e2),
-        ]
+        rates = []
+        for i, a, h, kap in types:
+            x = 2.0 * (-dJ * (n[a] * invN) - hJ * (n[h] * invN) + kap)
+            rates += [(N - n[i]) * math.exp(x), n[i] * math.exp(-x)]
         tot = rates[0]
         for r in rates[1:]:
             tot += r
@@ -51,7 +49,58 @@ def _reference_step_3(spec):
             acc += r
             if v < acc:
                 return e / tot, c
-        return e / tot, 5
+        return e / tot, len(rates) - 1
+
+    return step
+
+
+def law_step(spec):
+    """The direct-method step in another rounding: densities as n / N and
+    the total summed in (up, down) pairs.  It samples the same law; its
+    bits differ from the samplers' in the last place."""
+    N = spec.N
+    dJ = spec.delta * spec.J
+    hJ = (1.0 - spec.delta) * spec.J
+    types = [(i, (i - 1) % spec.k, (i + 1) % spec.k, kap) for i, kap in enumerate(spec.kappa)]
+
+    def step(n, e, u):
+        rates = []
+        tot = 0.0
+        for i, a, h, kap in types:
+            x = 2.0 * (-dJ * (n[a] / N) - hJ * (n[h] / N) + kap)
+            r_up = (N - n[i]) * math.exp(x)
+            r_dn = n[i] * math.exp(-x)
+            rates += [r_up, r_dn]
+            tot += r_up + r_dn
+        acc = 0.0
+        for c, r in enumerate(rates):
+            acc += r
+            if u * tot < acc:
+                return e / tot, c
+        return e / tot, len(rates) - 1
+
+    return step
+
+
+def scalar_step(spec):
+    """One event of the sampler's scalar loop (the unrolled one for k = 3)."""
+    loop = jump._scalar_3 if spec.k == 3 else jump._scalar
+
+    def step(n, e, u):
+        chosen = []
+        t = loop(spec, list(n), 0.0, math.inf, [(e, u)], [], chosen.append, 1, 0)[1]
+        return t, chosen[0]
+
+    return step
+
+
+def window_step(spec):
+    """One event of the window's exact pass, as a one-column window."""
+    kernels = jump._Kernels(spec)
+
+    def step(n, e, u):
+        chosen, total = kernels.exact(np.array(n, dtype=float)[:, None], np.array([u]))
+        return e / float(total[0]), int(chosen[0])
 
     return step
 
@@ -72,7 +121,7 @@ def reference_ssa(spec, x0, t_end, seed, thinning=None):
             size = 8192
 
     stride = default_thinning(spec.N) if thinning is None else thinning
-    step = _reference_step_3(spec) if spec.k == 3 else direct_step(spec)
+    step = reference_step(spec)
     n = list(x0.counts)
     times, states = [0.0], [tuple(n)]
     t, event = 0.0, 0
@@ -152,9 +201,14 @@ class TestSamplerOracle:
         assert meta["rng_blocks"] == 1 + math.ceil(max(0, pairs - 256) / 8192)
 
 
+def spread_counts(k, N):
+    """Counts of k types spread over 0 .. N, none at a boundary."""
+    return [N // 5 + (3 * N // 5) * i // (k - 1) for i in range(k)]
+
+
 class TestWindowedLoop:
-    """The k = 3 loop runs windows of numpy sweeps checked with math.exp,
-    and the scalar loop where windows do not pay."""
+    """The loop runs windows of numpy sweeps checked with math.exp, and the
+    scalar loop where windows do not pay."""
 
     @pytest.mark.parametrize("thinning", [1, 7, None])
     @pytest.mark.parametrize("J", [1.0, 2.5])
@@ -169,33 +223,53 @@ class TestWindowedLoop:
         assert traj.meta["events"] > 256 + 8192
         assert_same_path(traj, spec, x0, t_end, N + int(10 * J), thinning)
 
+    @pytest.mark.parametrize("J", [1.0, 2.5, -2.0])
+    @pytest.mark.parametrize("N", [100, 1000, 10_000, 100_000])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 7])
+    def test_bitwise_equal_to_reference_at_every_k(self, k, N, J):
+        # 1e4 to 6e4 events, with t_end longer where a strong coupling
+        # slows the total rate; windows run exactly where N clears the
+        # settling gate, the scalar loop everywhere else.
+        spec = LoopSpec.with_half_j(J=J, delta=0.3, N=N, k=k)
+        x0 = DensityState.from_counts(spread_counts(k, N), N)
+        t_end = 21_000.0 * (1 + abs(J)) / (k * N)
+        seed = 10 * k + N + int(10 * J)
+        traj = ssa_simulate(spec, x0, t_end, seed=seed)
+        assert traj.meta["events"] > 256 + 8192
+        windowed = N >= jump._SETTLE_N * (abs(J) + 1)
+        assert (traj.meta["window_events"] > 0) == windowed
+        assert_same_path(traj, spec, x0, t_end, seed)
+
     @pytest.mark.parametrize("thinning", [1, 7, None])
     @pytest.mark.parametrize("stop", [100, 255, 256, 8447, 8448])
     def test_t_end_at_an_event_near_block_edges(self, stop, thinning):
         # t_end is the time of event `stop` (from 0), so that event's pair
         # is the stopping draw: inside the first 256-pair block, its last
         # pair, the first of the second block, its last, the first of the third.
-        spec = LoopSpec.with_half_j(J=1.0, delta=0.3, N=10_000)
-        x0 = DensityState.from_counts((8000, 2000, 5000), 10_000)
-        t_end = float(ssa_simulate(spec, x0, 1.0, seed=2, thinning=1).times[stop + 1])
-        traj = ssa_simulate(spec, x0, t_end, seed=2, thinning=thinning)
-        assert traj.meta["events"] == stop
-        assert traj.meta["rng_blocks"] == 1 + (stop >= 256) + (stop >= 256 + 8192)
-        assert_same_path(traj, spec, x0, t_end, 2, thinning)
+        for k in (3, 5):
+            spec = LoopSpec.with_half_j(J=1.0, delta=0.3, N=10_000, k=k)
+            x0 = DensityState.from_counts(spread_counts(k, 10_000), 10_000)
+            t_end = float(ssa_simulate(spec, x0, 1.0, seed=2, thinning=1).times[stop + 1])
+            traj = ssa_simulate(spec, x0, t_end, seed=2, thinning=thinning)
+            assert traj.meta["events"] == stop
+            assert traj.meta["rng_blocks"] == 1 + (stop >= 256) + (stop >= 256 + 8192)
+            assert_same_path(traj, spec, x0, t_end, 2, thinning)
 
     def test_a_wrong_guess_changes_no_bit(self, monkeypatch):
         # Skewing the guess's exponents moves its channels near every
         # boundary; math.exp recomputes each event, so only the sweeps move.
-        spec = LoopSpec.with_half_j(J=1.0, delta=0.3, N=10_000)
-        x0 = DensityState.from_counts((8000, 2000, 5000), 10_000)
-        honest = ssa_simulate(spec, x0, 1.0, seed=4)
-        monkeypatch.setattr(jump, "_guess_exp", lambda x: np.exp(x * (1 + 1e-3)))
-        skewed = ssa_simulate(spec, x0, 1.0, seed=4)
-        assert skewed.meta["sweeps"] != honest.meta["sweeps"]
-        assert skewed.meta["window_events"] > 0.9 * skewed.meta["events"]
-        assert skewed.meta["events"] == honest.meta["events"]
-        assert skewed.times.tobytes() == honest.times.tobytes()
-        assert skewed.states.tobytes() == honest.states.tobytes()
+        for k in (3, 5):
+            spec = LoopSpec.with_half_j(J=1.0, delta=0.3, N=10_000, k=k)
+            x0 = DensityState.from_counts(spread_counts(k, 10_000), 10_000)
+            monkeypatch.setattr(jump, "_guess_exp", np.exp)
+            honest = ssa_simulate(spec, x0, 1.0, seed=4)
+            monkeypatch.setattr(jump, "_guess_exp", lambda x: np.exp(x * (1 + 1e-3)))
+            skewed = ssa_simulate(spec, x0, 1.0, seed=4)
+            assert skewed.meta["sweeps"] != honest.meta["sweeps"]
+            assert skewed.meta["window_events"] > 0.9 * skewed.meta["events"]
+            assert skewed.meta["events"] == honest.meta["events"]
+            assert skewed.times.tobytes() == honest.times.tobytes()
+            assert skewed.states.tobytes() == honest.states.tobytes()
 
     def test_scalar_loop_resumes_inside_a_block(self):
         # N = 1000, J = 1.5: some windows do not settle, and the scalar loop
@@ -207,10 +281,21 @@ class TestWindowedLoop:
         assert traj.meta["window_events"] > 0 and scalar > 256
         assert_same_path(traj, spec, x0, 10.0, 3, 1)
 
+    def test_windows_record_wide_channels(self):
+        # k = 130 has channels up to 259, past a byte; windows must append
+        # them at the stream's two-byte width.
+        k = 130
+        spec = LoopSpec.with_half_j(J=1.0, delta=0.3, N=1000, k=k)
+        x0 = DensityState.from_counts(spread_counts(k, 1000), 1000)
+        traj = ssa_simulate(spec, x0, 0.05, seed=8)
+        assert traj.meta["window_events"] > 0.5 * traj.meta["events"]
+        assert np.any(np.diff(traj.states[:, -1]) != 0)  # the last type's channels fired
+        assert_same_path(traj, spec, x0, 0.05, 8)
+
     def test_counters_show_where_windows_run(self):
         # Large N: rates barely move within a window, which settles in a few
-        # sweeps.  N = 100 at J = 2.5: windows would not settle, and the
-        # scalar loop runs every event.
+        # sweeps, at any k.  N = 100 at J = 2.5: windows would not settle,
+        # and the scalar loop runs every event.
         big = LoopSpec.with_half_j(J=1.0, delta=0.3, N=10_000)
         meta = ssa_simulate(big, DensityState.from_counts((8000, 2000, 5000), 10_000),
                             1.0, seed=6).meta
@@ -224,7 +309,8 @@ class TestWindowedLoop:
         generic = LoopSpec.with_half_j(J=1.0, delta=0.3, N=10_000, k=4)
         meta = ssa_simulate(generic, DensityState.from_counts((5000,) * 4, 10_000), 0.5,
                             seed=6).meta
-        assert meta["window_events"] == meta["sweeps"] == 0
+        assert meta["window_events"] > 0.95 * meta["events"]
+        assert 0 < meta["sweeps"] < meta["events"] / 256
 
 
 def transient_law(spec, n0, t):
@@ -281,6 +367,9 @@ class TestExactLaw:
         [
             (3, 4, 2.5, 0.0, (4, 0, 2), 87, 144.79),  # the unrolled k = 3 loop
             (4, 2, 1.5, 0.3, (2, 0, 1, 2), 71, 124.07),  # the generic loop
+            # Both neighbours are the one other type: the exponent reads one
+            # count, with weight delta J + (1 - delta) J.
+            (2, 6, -2.0, 0.3, (5, 1), 29, 66.15),
         ],
     )
     def test_final_state_law(self, k, N, J, delta, n0, dof, threshold):
@@ -408,12 +497,11 @@ class TestSsaSimulate:
 
 
 class TestDirectStep:
-    @pytest.mark.parametrize("k", [2, 3, 5])
-    def test_aggregate_rates_match_channel_rates(self, k):
-        # The waiting time at e = 1 is the inverse total rate; a uniform at
-        # the middle of a channel's share of the total picks that channel.
+    @staticmethod
+    def random_states(k, count):
+        """(spec, counts) pairs with J, delta, kappa and N drawn at random."""
         rng = np.random.default_rng(60 + k)
-        for _ in range(50):
+        for _ in range(count):
             N = int(rng.integers(1, 500))
             spec = LoopSpec(
                 J=float(rng.uniform(-3, 3)),
@@ -422,16 +510,39 @@ class TestDirectStep:
                 N=N,
                 k=k,
             )
-            n = [int(c) for c in rng.integers(0, N + 1, k)]
-            step = direct_step(spec)
-            expected = N * channel_rates(spec, np.array(n) / N)
+            yield spec, [int(c) for c in rng.integers(0, N + 1, k)]
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_aggregate_rates_match_channel_rates(self, k):
+        # The waiting time at e = 1 is the inverse total rate; a uniform at
+        # the middle of a channel's share of the total picks that channel.
+        # The law reference and the samplers' steps all do.
+        for spec, n in self.random_states(k, 50):
+            expected = spec.N * channel_rates(spec, np.array(n) / spec.N)
             total = expected.sum()
-            dt, _ = step(n, 1.0, 0.5)
-            assert 1.0 / dt == pytest.approx(total, rel=1e-12)
             cum = np.cumsum(expected)
-            for c in np.flatnonzero(expected > 1e-9 * total):
-                mid = (cum[c] - 0.5 * expected[c]) / total
-                assert step(n, 1.0, mid)[1] == c
+            for make in (law_step, reference_step, scalar_step, window_step):
+                step = make(spec)
+                dt, _ = step(n, 1.0, 0.5)
+                assert 1.0 / dt == pytest.approx(total, rel=1e-12)
+                for c in np.flatnonzero(expected > 1e-9 * total):
+                    mid = (cum[c] - 0.5 * expected[c]) / total
+                    assert step(n, 1.0, mid)[1] == c
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 7])
+    def test_sampler_steps_are_the_reference_bit_for_bit(self, k):
+        # The scalar loop and the window's exact pass keep the reference's
+        # waiting time and channel at any uniform, also next to a boundary.
+        rng = np.random.default_rng(70 + k)
+        for spec, n in self.random_states(k, 50):
+            reference = reference_step(spec)
+            steps = (scalar_step(spec), window_step(spec))
+            for u in rng.random(20).tolist() + [0.0, 1.0 - 2.0 ** -53]:
+                e = float(rng.exponential())
+                want = reference(n, e, u)
+                for step in steps:
+                    dt, c = step(n, e, u)
+                    assert (dt, c) == want
 
 
 def sup_distance_union1d(a, b, t):

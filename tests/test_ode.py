@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from tdsim import ode
-from tdsim.model import LoopSpec, field_closure
+from tdsim.model import LoopSpec, field_closure, vector_field
 from tdsim.ode import (
     IntegratorSettings,
     NonFiniteState,
@@ -278,6 +278,40 @@ class TestUnrolledRk45:
                 got = field_closure(spec)(y)
                 assert type(got) is tuple
                 assert np.array(got).tobytes() == np.array(want).tobytes(), (spec, y)
+                overflowed += not all(map(math.isfinite, want))
+        assert overflowed > 100
+
+    @pytest.mark.parametrize("k", [2, 4, 5])
+    def test_generic_field_takes_math_exp_and_degrades_to_inf(self, k):
+        # Other k than 3 also take one math.exp per exponential, so no bit
+        # follows numpy's exp kernel, and overflow degrades to inf alike.
+        def exp(v):
+            try:
+                return math.exp(v)
+            except OverflowError:
+                return math.inf
+
+        def reference(spec, y):
+            dJ, hJ = spec.delta * spec.J, (1.0 - spec.delta) * spec.J
+            out = []
+            for i, kap in enumerate(spec.kappa):
+                x = 2.0 * (-dJ * y[(i - 1) % k] - hJ * y[(i + 1) % k] + kap)
+                out.append((1.0 - y[i]) * exp(x) - y[i] * exp(-x))
+            return out
+
+        rng = np.random.default_rng(40 + k)
+        overflowed = 0
+        for low, high in ((0.0, 1.0), (-30.0, 30.0), (-1e3, 1e3), (-1e300, 1e300)):
+            for _ in range(200):
+                spec = LoopSpec(J=float(rng.uniform(-6, 6)), delta=float(rng.uniform(0, 1)),
+                                kappa=tuple(rng.uniform(-3, 3, k)), N=10, k=k)
+                y = rng.uniform(low, high, k).tolist()
+                want = reference(spec, y)
+                got = field_closure(spec)(y)
+                assert type(got) is list
+                assert np.array(got).tobytes() == np.array(want).tobytes(), (spec, y)
+                if high == 1.0:
+                    assert got == pytest.approx(vector_field(spec, y), rel=1e-13, abs=1e-13)
                 overflowed += not all(map(math.isfinite, want))
         assert overflowed > 100
 
