@@ -24,9 +24,7 @@ from .analysis import (
 )
 from .jump import ssa_simulate, sup_distance
 from .micro import (
-    EnergyDelta,
     SpinConfiguration,
-    energy_deltas,
     generator_matrix,
     gibbs_measure,
     hamiltonian,
@@ -44,7 +42,6 @@ __all__ = [
     "LoopSpec",
     "DensityState",
     "SpinConfiguration",
-    "EnergyDelta",
     "Trajectory",
     "Spectrum",
     "BifurcationRecord",
@@ -55,7 +52,6 @@ __all__ = [
     "vector_field",
     "jacobian",
     "hamiltonian",
-    "energy_deltas",
     "gibbs_measure",
     "generator_matrix",
     "reversibility_residual",

@@ -288,6 +288,9 @@ def cmd_simulate(args) -> int:
     _check_t_end(args.t_end)
     if args.thinning is not None and args.thinning < 1:
         raise ConfigError("thinning: must be >= 1")
+    # A micro path records every event; a stride it cannot honour is refused.
+    if args.level == "micro" and args.thinning not in (None, 1):
+        raise ConfigError("thinning: the micro level records every event; use 1 or omit it")
     seed = _resolve_seed(args)
     x0 = _parse_x0(args, spec.k)
     counts = [int(round(v * spec.N)) for v in x0]
@@ -376,6 +379,8 @@ def cmd_converge(args) -> int:
         raise ConfigError("N: at least one reservoir size is required")
     if min(args.N_list) < 1:
         raise ConfigError("N: every reservoir size must be >= 1")
+    if len(set(args.N_list)) < len(args.N_list):
+        raise ConfigError("N: every reservoir size must be distinct")
     if args.replicas < 1:
         raise ConfigError("replicas: must be >= 1")
     _check_t_end(args.t_end)

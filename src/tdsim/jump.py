@@ -11,16 +11,19 @@ per jump direction; the direct method is simply the cheaper sampler.
 One loop serves every k, one window of variates at a time: numpy guesses
 every event's channel from the window's first state and sweeps until the
 guessed states stop changing, then every settled event is recomputed with
-the scalar arithmetic and ``math.exp``, and the window is cut at the first
-channel the guess got wrong.  Where windows do not settle quickly (small N,
-strong coupling), a scalar loop runs instead (unrolled for k = 3); an event
-moves one type, so only the two exponents that read its count are
-recomputed (the dependency-graph idea of Gibson & Bruck, J. Phys. Chem. A
-104, 2000).  Both take their constants from
-:func:`tdsim.model.exponent_terms`, read their variates from
-:func:`_variates` and record a path as a channel stream, one index per event
-(channel 2i raises type i, 2i + 1 lowers it); :func:`ssa_simulate` rebuilds
-the recorded counts from it in one numpy pass per type.  The per-site
+the scalar arithmetic (:func:`tdsim.model._exponents` and
+:func:`tdsim.model._exact_exps`), and the window is cut at the first
+channel the guess got wrong.  The guess's exponential, numpy's, is the
+only one in the package not taken with ``math.exp``; it decides no output
+bit.  Where windows do not settle quickly (small N, strong coupling), a
+scalar loop runs instead (unrolled for k = 3); an event moves one type, so
+only the two exponents that read its count are recomputed (the
+dependency-graph idea of Gibson & Bruck, J. Phys. Chem. A 104, 2000).  Both
+take their constants from :func:`tdsim.model.exponent_terms`, read their
+variates from :func:`_variates` and record a path as a channel stream, one
+index per event (channel 2i raises type i, 2i + 1 lowers it);
+:func:`ssa_simulate` rebuilds the recorded counts from it in one numpy pass
+per type.  The per-site
 sampler :func:`tdsim.micro.micro_simulate` runs on :func:`ssa_simulate`.
 
 Randomness: each run owns a PCG64 generator seeded through
@@ -38,7 +41,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .model import DensityState, LoopSpec, exponent_terms
+from .model import DensityState, LoopSpec, _exact_exps, _exponents, exponent_terms
 from .trajectory import Trajectory
 
 __all__ = ["ssa_simulate", "sup_distance", "derive_seed"]
@@ -235,65 +238,54 @@ _guess_exp = np.exp
 
 class _Kernels:
     """The numpy steps of the windowed loop for one spec.  Built on a run's
-    first window, so that importing the module allocates no array."""
+    first window, so that importing the module allocates no array.  The
+    guess and the exact pass differ only in their exponentials; both turn
+    them into channels with :meth:`select`."""
 
     def __init__(self, spec: LoopSpec):
         k = spec.k
-        self.dJ, self.hJ, types = exponent_terms(spec)
-        # Type i's exponent reads the counts in rows a[i] (weight delta * J)
-        # and h[i] (weight (1 - delta) * J); for k = 2 they are one row.
-        self.a, self.h, kappa = (list(col) for col in zip(*types))
+        self.spec = spec
+        dJ, hJ, types = exponent_terms(spec)
+        a, h, kappa = zip(*types)
         # moves[:, c] is channel c's count change, +1 (even c) or -1 (odd c)
         # on type c >> 1.
         self.moves = np.zeros((k, 2 * k))
         self.moves[np.arange(2 * k) >> 1, np.arange(2 * k)] = [1.0, -1.0] * k
-        # Running sums of the rate rows as one product, for the guess only.
-        self.running = np.tril(np.ones((2 * k, 2 * k)))
         self.N = spec.N
         self.invN = 1.0 / spec.N
-        self.kappa = np.array(kappa)[:, None]
-        # The exponents as one affine map of the counts: fewer numpy calls
-        # than the loop's expression, and rounded differently, which only
-        # the guess may be.
-        self.intercept = 2.0 * self.kappa
+        # The guess's exponents as one affine map of the counts: fewer numpy
+        # calls than model._exponents, and rounded differently, which only
+        # the guess may be.  For k = 2, a[i] and h[i] are one type, whose
+        # two weights add.
+        self.intercept = 2.0 * np.array(kappa)[:, None]
         self.slope = np.zeros((k, k))
-        self.slope[range(k), self.a] = -2.0 * self.dJ * self.invN
-        self.slope[range(k), self.h] += -2.0 * self.hJ * self.invN
+        self.slope[range(k), a] = -2.0 * dJ * self.invN
+        self.slope[range(k), h] += -2.0 * hJ * self.invN
 
-    def guess(self, G, U):
-        """Channels that np.exp picks at the count columns G (k, m); the
-        scalar loop's choice nearly always, not always."""
-        x = self.slope @ G
-        x += self.intercept
-        rates = np.empty((len(self.running), G.shape[1]))
-        np.multiply(self.N - G, _guess_exp(x), out=rates[0::2])
-        np.multiply(G, _guess_exp(np.negative(x, out=x)), out=rates[1::2])
-        cum = self.running @ rates
-        return (U * cum[-1] >= cum[:-1]).sum(axis=0)
-
-    def exact(self, G, U):
-        """(channels, totals) at the count columns G, bit for bit those of
-        the scalar loop: its expressions in its order, and math.exp called
-        once per distinct exponent."""
-        q = G * self.invN
-        x = q[self.a]
-        x *= -self.dJ
-        h = q[self.h]
-        h *= self.hJ
-        x -= h
-        x += self.kappa
-        x *= 2.0
-        values, where = np.unique(x, return_inverse=True)
-        where = where.reshape(x.shape)
-        values = values.tolist()
-        cum = np.empty((len(self.running), G.shape[1]))
-        np.take(np.array([math.exp(v) for v in values]), where, out=cum[0::2])
-        np.take(np.array([math.exp(-v) for v in values]), where, out=cum[1::2])
-        cum[0::2] *= self.N - G
-        cum[1::2] *= G
+    def select(self, G, U, grow, shrink):
+        """(channels, totals) at the count columns G (k, m) from each type's
+        exponentials: the scalar loop's rates, running sums added one row at
+        a time, and the first sum above u * total."""
+        cum = np.empty((2 * len(G), G.shape[1]))
+        np.multiply(self.N - G, grow, out=cum[0::2])
+        np.multiply(G, shrink, out=cum[1::2])
         for row in range(1, len(cum)):
             np.add(cum[row - 1], cum[row], out=cum[row])
         return (U * cum[-1] >= cum[:-1]).sum(axis=0), cum[-1]
+
+    def guess(self, G, U):
+        """Channels that :data:`_guess_exp` picks at the count columns G; the
+        scalar loop's choice nearly always, not always."""
+        x = self.slope @ G
+        x += self.intercept
+        return self.select(G, U, _guess_exp(x), _guess_exp(-x))[0]
+
+    def exact(self, G, U):
+        """(channels, totals) at the count columns G, bit for bit those of
+        the scalar loop: its exponents, from :func:`tdsim.model._exponents`
+        at densities G / N, and their :func:`tdsim.model._exact_exps`."""
+        x = _exponents(self.spec, (G * self.invN).T).T
+        return self.select(G, U, *_exact_exps(x))
 
 
 def _window(kernels, n, t, t_end, E, U):

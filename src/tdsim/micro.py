@@ -18,7 +18,8 @@ generators over configurations by k*N <= 12.  :func:`generator_matrix`
 holds the dense 2^(kN)-square matrix; :func:`lumped_density_generator`
 works from the flip table (each configuration's k*N single-site flip
 targets and rates) and forms dense rows only :data:`ROW_SUM_BLOCK` at a
-time, to take the diagonal from the same row sums.
+time, to take the diagonal from the same row sums.  Flip rates and Gibbs
+weights take their exponentials from :func:`tdsim.model._exact_exps`.
 """
 from __future__ import annotations
 
@@ -27,14 +28,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jump
-from .model import DensityState, LoopSpec, _exponents, channel_rates
+from .model import DensityState, LoopSpec, _exact_exps, _exponents, channel_rates
 from .trajectory import Trajectory
 
 __all__ = [
     "SpinConfiguration",
-    "EnergyDelta",
     "hamiltonian",
-    "energy_deltas",
     "gibbs_measure",
     "generator_matrix",
     "lumped_density_generator",
@@ -98,25 +97,6 @@ class SpinConfiguration:
     def densities(self) -> np.ndarray:
         return self.counts() / self.spec.N
 
-    def with_spin(self, site: tuple[int, int], value: int) -> "SpinConfiguration":
-        spins = self.spins.copy()
-        spins[site] = value
-        return SpinConfiguration(spins, self.spec)
-
-
-@dataclass(frozen=True)
-class EnergyDelta:
-    """Energy change of a single-site flip, split into the incoming part
-    (change of the influence the rest of the system exerts on the site) and
-    the outgoing part (change of the site's influence on the rest)."""
-
-    delta_in: float
-    delta_out: float
-
-    @property
-    def total(self) -> float:
-        return self.delta_in + self.delta_out
-
 
 def _require_clock(spec: LoopSpec):
     if spec.k != 3:
@@ -146,33 +126,6 @@ def hamiltonian(config: SpinConfiguration) -> float:
     """
     _require_clock(config.spec)
     return float(_energy(config.spec, config.counts()))
-
-
-def energy_deltas(
-    config: SpinConfiguration, site: tuple[int, int], a: int, b: int
-) -> EnergyDelta:
-    """Incoming/outgoing energy change for flipping ``site`` from a to b.
-
-    The total equals the difference of :func:`hamiltonian` between the
-    configuration with the site set to b and the one with it set to a.
-    """
-    spec = config.spec
-    _require_clock(spec)
-    if a not in (-1, 1) or b not in (-1, 1):
-        raise ValueError("spin states must be +1 or -1")
-    i, pos = site
-    if not (0 <= i < spec.k and 0 <= pos < spec.N):
-        raise ValueError(f"site {site!r} outside the lattice")
-    n = config.counts().astype(float)
-    s = 2.0 * n - spec.N
-    ai = spec.anticlockwise(i)
-    hi = spec.clockwise(i)
-    d = spec.delta
-    # Incoming: +1 spins of the neighbour types act on the flipped site.
-    delta_in = (b - a) * spec.J * (d * n[ai] + (1.0 - d) * n[hi]) / spec.N
-    # Outgoing: the site acts on every site of its neighbour types when +1.
-    delta_out = (b - a) * spec.J * (d * s[hi] + (1.0 - d) * s[ai]) / (2.0 * spec.N)
-    return EnergyDelta(delta_in=float(delta_in), delta_out=float(delta_out))
 
 
 def _config_counts(spec: LoopSpec, idx: np.ndarray) -> np.ndarray:
@@ -210,15 +163,14 @@ def gibbs_measure(spec: LoopSpec) -> np.ndarray:
     _require_enumerable(spec)
     idx = np.arange(1 << (spec.k * spec.N), dtype=np.int64)
     h = _energy(spec, _config_counts(spec, idx))
-    w = np.exp(-(h - np.min(h)))
+    w = _exact_exps(np.min(h) - h)[0]
     return w / np.sum(w)
 
 
 def _site_rates(spec: LoopSpec):
     """Configuration indices and the per-type (up, down) site flip rates there."""
     idx = np.arange(1 << (spec.k * spec.N), dtype=np.int64)
-    expo = _exponents(spec, _config_counts(spec, idx) / spec.N)
-    return idx, np.exp(expo), np.exp(-expo)
+    return idx, *_exact_exps(_exponents(spec, _config_counts(spec, idx) / spec.N))
 
 
 def _flip_table(spec: LoopSpec):

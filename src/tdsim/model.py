@@ -11,7 +11,11 @@ neighbour (weight 1 - delta), plus a per-type field kappa_i:
     rate_down = exp(-2 [ -delta*J*x_a - (1-delta)*J*x_h + kappa_i ])
 
 Everything downstream (the density jump process, the fluid-limit vector
-field and its Jacobian) is built from these two expressions.
+field and its Jacobian) is built from these two expressions, with the
+constants of :func:`exponent_terms`.  Every exponential is a ``math.exp``:
+the numpy functions take theirs from :func:`_exact_exps`, and the scalar
+fields and sampler loops call it directly, so no rate bit follows numpy's
+exp kernel.
 """
 from __future__ import annotations
 
@@ -143,55 +147,6 @@ def _as_density_array(x) -> np.ndarray:
     return np.asarray(x, dtype=float)
 
 
-def _exponents(spec: LoopSpec, x: np.ndarray) -> np.ndarray:
-    """Log of rate_up for every type: 2[-dJ*x_a - (1-d)J*x_h + kappa].
-
-    Types run along the last axis, so a batch of states gives a batch of
-    exponents.
-    """
-    a_idx, h_idx = spec.neighbour_indices
-    kappa = np.asarray(spec.kappa)
-    return 2.0 * (-spec.delta * spec.J * x[..., a_idx]
-                  - (1.0 - spec.delta) * spec.J * x[..., h_idx]
-                  + kappa)
-
-
-def channel_rates(spec: LoopSpec, x) -> np.ndarray:
-    """Jump intensities beta_l(x) for all 2k directions, ordered
-    (+e_0, -e_0, +e_1, ...).
-
-    beta is (1 - x_i) e^{E_i} for an upward jump of type i and x_i e^{-E_i}
-    for a downward one; the process performs the jump x -> x +/- e_i/N at
-    rate N * beta.  Boundary jumps get rate 0 through the (1 - x_i) or x_i
-    factor, so positive-rate jumps always stay inside [0, 1]^k.  Types run
-    along the last axis, so a batch of states gives a batch of rates.
-    """
-    xv = _as_density_array(x)
-    e = _exponents(spec, xv)
-    # math.exp, not np.exp: the two differ by 1 ulp on some inputs, and the
-    # samplers' rates come from math.exp.
-    flat = e.ravel().tolist()
-    grow = np.reshape([math.exp(v) for v in flat], e.shape)
-    shrink = np.reshape([math.exp(-v) for v in flat], e.shape)
-    out = np.empty(e.shape[:-1] + (2 * spec.k,))
-    out[..., 0::2] = (1.0 - xv) * grow
-    out[..., 1::2] = xv * shrink
-    return out
-
-
-def vector_field(spec: LoopSpec, x) -> np.ndarray:
-    """Drift F(x) of the density process, the fluid-limit right-hand side.
-
-    F_i(x) = (1 - x_i) e^{E_i} - x_i e^{-E_i} with E_i the rate exponent of
-    type i.  Componentwise this equals the sum of l * beta_l(x) over all 2k
-    jump directions.  Defined for any finite x (the integrator may probe
-    slightly outside [0, 1]^k).
-    """
-    xv = _as_density_array(x)
-    e = _exponents(spec, xv)
-    return (1.0 - xv) * np.exp(e) - xv * np.exp(-e)
-
-
 def exponent_terms(spec: LoopSpec):
     """(dJ, hJ, types) = (delta J, (1 - delta) J, ((a(i), h(i), kappa_i), ...)):
     type i's exponent at densities y is ``2.0 * (-dJ * y[a] - hJ * y[h] +
@@ -201,13 +156,73 @@ def exponent_terms(spec: LoopSpec):
     return spec.delta * spec.J, (1.0 - spec.delta) * spec.J, types
 
 
+def _exponents(spec: LoopSpec, x: np.ndarray) -> np.ndarray:
+    """Log of rate_up for every type, from :func:`exponent_terms`.
+
+    Types run along the last axis, so a batch of states gives a batch of
+    exponents.
+    """
+    dJ, hJ, types = exponent_terms(spec)
+    a, h, kappa = (list(col) for col in zip(*types))
+    return 2.0 * (-dJ * x[..., a] - hJ * x[..., h] + np.array(kappa))
+
+
 def _inf_exp(v):
     # Adaptive integrators probe trial states far outside [0,1]^k;
-    # degrade to inf like the vectorized path instead of raising.
+    # degrade to inf, as numpy's exp does, instead of raising.
     try:
         return math.exp(v)
     except OverflowError:
         return math.inf
+
+
+def _exact_exps(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(exp(x), exp(-x)) for an exponent array, the only exponential of the
+    numpy code paths.  ``math.exp`` is called once per distinct value, so
+    every bit is that of the scalar loops and none follows numpy's exp
+    kernel (which differs by an ulp on some inputs); where it overflows, the
+    values are recomputed degrading to inf."""
+    values, where = np.unique(x, return_inverse=True)
+    values = values.tolist()
+    try:
+        grow = [math.exp(v) for v in values]
+        shrink = [math.exp(-v) for v in values]
+    except OverflowError:
+        grow = [_inf_exp(v) for v in values]
+        shrink = [_inf_exp(-v) for v in values]
+    where = where.reshape(x.shape)
+    return np.take(np.array(grow), where), np.take(np.array(shrink), where)
+
+
+def channel_rates(spec: LoopSpec, x) -> np.ndarray:
+    """Jump intensities beta_l(x) for all 2k directions, ordered
+    (+e_0, -e_0, +e_1, ...).
+
+    beta is (1 - x_i) e^{E_i} for an upward jump of type i and x_i e^{-E_i}
+    for a downward one, with both exponentials from :func:`_exact_exps`;
+    the process performs the jump x -> x +/- e_i/N at rate N * beta.
+    Boundary jumps get rate 0 through the (1 - x_i) or x_i factor, so
+    positive-rate jumps always stay inside [0, 1]^k.  Types run along the
+    last axis, so a batch of states gives a batch of rates.
+    """
+    xv = _as_density_array(x)
+    grow, shrink = _exact_exps(_exponents(spec, xv))
+    out = np.empty(grow.shape[:-1] + (2 * spec.k,))
+    out[..., 0::2] = (1.0 - xv) * grow
+    out[..., 1::2] = xv * shrink
+    return out
+
+
+def vector_field(spec: LoopSpec, x) -> np.ndarray:
+    """Drift F(x) of the density process, the fluid-limit right-hand side.
+
+    F_i(x) = (1 - x_i) e^{E_i} - x_i e^{-E_i} with E_i the rate exponent of
+    type i: the upward minus the downward :func:`channel_rates` of each
+    type.  Defined for any finite x (the integrator may probe slightly
+    outside [0, 1]^k).
+    """
+    rates = channel_rates(spec, x)
+    return rates[..., 0::2] - rates[..., 1::2]
 
 
 def field_closure(spec: LoopSpec):
@@ -272,9 +287,7 @@ def jacobian(spec: LoopSpec, x) -> np.ndarray:
     xv = _as_density_array(x)
     k = spec.k
     a_idx, h_idx = spec.neighbour_indices
-    e = _exponents(spec, xv)
-    up = np.exp(e)
-    down = np.exp(-e)
+    up, down = _exact_exps(_exponents(spec, xv))
     jac = np.zeros((k, k))
     jac[np.arange(k), np.arange(k)] = -(up + down)
     outer = (1.0 - xv) * up + xv * down

@@ -351,6 +351,9 @@ class TestConfigErrors:
             (["bifurcate", "--grid=-400"], None, "grid"),
             (["bifurcate", "--grid", "0,1,2,400"], None, "grid"),
             (["converge", "--seed", "1", "--N", "50", "--t-end", "1e9"], None, "t-end"),
+            (["simulate", "--level", "micro", "--N", "20", "--t-end", "0.2", "--thinning", "5"],
+             None, "thinning"),
+            (["converge", "--seed", "1", "--N", "100", "--N", "100"], None, "N"),
         ],
     )
     def test_exits_2_naming_the_field(self, argv, env, field, tmp_path, monkeypatch, capsys):

@@ -13,7 +13,6 @@ from tdsim.micro import (
     SpinConfiguration,
     _config_counts,
     density_generator,
-    energy_deltas,
     generator_matrix,
     gibbs_measure,
     hamiltonian,
@@ -140,54 +139,6 @@ class TestHamiltonian:
         spec = LoopSpec(J=1.0, delta=0.5, kappa=(0.0,) * 4, N=1, k=4)
         with pytest.raises(ValueError):
             hamiltonian(SpinConfiguration.all_plus(spec))
-
-
-class TestEnergyDeltas:
-    def test_identity_flip(self):
-        spec = LoopSpec(J=1.3, delta=0.4, kappa=(0.5,) * 3, N=2)
-        config = SpinConfiguration.all_plus(spec)
-        d = energy_deltas(config, (0, 0), +1, +1)
-        assert d.delta_in == 0.0 and d.delta_out == 0.0 and d.total == 0.0
-
-    def test_antisymmetry(self):
-        spec = LoopSpec(J=-1.7, delta=0.8, kappa=(0.2, -0.1, 0.4), N=3)
-        rng = np.random.default_rng(13)
-        spins = rng.choice([-1, 1], size=(3, 3)).astype(np.int8)
-        config = SpinConfiguration(spins, spec)
-        fwd = energy_deltas(config, (1, 2), -1, +1)
-        bwd = energy_deltas(config, (1, 2), +1, -1)
-        assert fwd.delta_in == -bwd.delta_in
-        assert fwd.delta_out == -bwd.delta_out
-
-    def test_total_equals_hamiltonian_difference_exhaustive(self):
-        spec = LoopSpec(J=2.0, delta=1.0, kappa=(0.0,) * 3, N=1)
-        for config in all_configs(spec):
-            for i in range(3):
-                for a in (-1, 1):
-                    for b in (-1, 1):
-                        d = energy_deltas(config, (i, 0), a, b)
-                        ha = brute_hamiltonian(config.with_spin((i, 0), a))
-                        hb = brute_hamiltonian(config.with_spin((i, 0), b))
-                        assert d.total == pytest.approx(hb - ha, abs=1e-10)
-
-    def test_total_equals_hamiltonian_difference_random(self):
-        rng = np.random.default_rng(29)
-        for _ in range(10):
-            N = int(rng.integers(1, 4))
-            spec = LoopSpec(
-                J=float(rng.uniform(-2, 2)),
-                delta=float(rng.uniform(0, 1)),
-                kappa=tuple(rng.uniform(-1, 1, 3)),
-                N=N,
-            )
-            spins = rng.choice([-1, 1], size=(3, N)).astype(np.int8)
-            config = SpinConfiguration(spins, spec)
-            site = (int(rng.integers(3)), int(rng.integers(N)))
-            a, b = int(rng.choice([-1, 1])), int(rng.choice([-1, 1]))
-            d = energy_deltas(config, site, a, b)
-            ha = brute_hamiltonian(config.with_spin(site, a))
-            hb = brute_hamiltonian(config.with_spin(site, b))
-            assert d.total == pytest.approx(hb - ha, abs=1e-10)
 
 
 class TestGibbsMeasure:

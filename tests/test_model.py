@@ -5,9 +5,11 @@ from decimal import Decimal, getcontext
 import numpy as np
 import pytest
 
+from tdsim.micro import _config_counts, _energy, _site_rates, gibbs_measure
 from tdsim.model import (
     DensityState,
     LoopSpec,
+    _exact_exps,
     _exponents,
     channel_rates,
     field_closure,
@@ -38,6 +40,41 @@ def flip_rates(spec, x, i):
     boundary factors (1 - x_i) and x_i."""
     rates = channel_rates(spec, x)
     return rates[2 * i] / (1.0 - x[i]), rates[2 * i + 1] / x[i]
+
+
+def exp_or_inf(v):
+    try:
+        return math.exp(v)
+    except OverflowError:
+        return math.inf
+
+
+def math_exps(x):
+    """(exp(x), exp(-x)) with one math.exp per element, overflow giving inf."""
+    flat = np.asarray(x).ravel().tolist()
+    return (np.reshape([exp_or_inf(v) for v in flat], np.shape(x)),
+            np.reshape([exp_or_inf(-v) for v in flat], np.shape(x)))
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def random_spec(rng, k, N=10):
+    return LoopSpec(J=float(rng.uniform(-3, 3)), delta=float(rng.uniform(0, 1)),
+                    kappa=tuple(rng.uniform(-1.5, 1.5, k)), N=N, k=k)
+
+
+def reference_jacobian(spec, x, up, down):
+    """The Jacobian's closed form entry by entry, at given exponentials."""
+    k = spec.k
+    jac = np.zeros((k, k))
+    for i in range(k):
+        jac[i, i] = -(up[i] + down[i])
+        outer = (1.0 - x[i]) * up[i] + x[i] * down[i]
+        jac[i, (i - 1) % k] += -2.0 * spec.delta * spec.J * outer
+        jac[i, (i + 1) % k] += -2.0 * (1.0 - spec.delta) * spec.J * outer
+    return jac
 
 
 def unit_jumps(k):
@@ -260,3 +297,56 @@ class TestJacobian:
                 a = jacobian(LoopSpec.with_half_j(J, delta, N=5), [0.5] * 3)
                 b = jacobian(LoopSpec.with_half_j(J, 1 - delta, N=5), [0.5] * 3)
                 assert a == pytest.approx(b.T, abs=1e-14)
+
+
+class TestExactExps:
+    """Every numpy rate takes its exponentials from _exact_exps, so each is
+    checked bit for bit against one math.exp per element.  numpy's SIMD exp
+    differs from math.exp by an ulp on about 5 % of inputs, so a helper
+    that called it would fail here."""
+
+    @pytest.mark.parametrize("shape", [(400,), (100, 4), (20, 5, 4)])
+    def test_bitwise_equal_to_math_exp(self, shape):
+        rng = np.random.default_rng(len(shape))
+        x = rng.uniform(-6.0, 6.0, shape)
+        flat = x.reshape(-1)
+        flat[::5] = flat[1]  # repeated values
+        flat[2:6] = [-0.0, 0.0, 800.0, -800.0]
+        grow, shrink = _exact_exps(x)
+        expected = math_exps(x)
+        assert same_bits(grow, expected[0]) and same_bits(shrink, expected[1])
+        assert grow.reshape(-1)[4:6].tolist() == [math.inf, 0.0]
+        assert shrink.reshape(-1)[4:6].tolist() == [0.0, math.inf]
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_vector_field_and_jacobian(self, k):
+        rng = np.random.default_rng(100 + k)
+        for _ in range(4):
+            spec = random_spec(rng, k)
+            # States inside and slightly outside the box, as integrators probe.
+            xs = rng.uniform(-0.2, 1.2, (50, k))
+            grow, shrink = math_exps(_exponents(spec, xs))
+            # The drift's formula before it was taken from channel_rates.
+            assert same_bits(vector_field(spec, xs), (1.0 - xs) * grow - xs * shrink)
+            for x, up, down in zip(xs[:10], grow, shrink):
+                assert same_bits(jacobian(spec, x), reference_jacobian(spec, x, up, down))
+
+    @pytest.mark.parametrize("k, N", [(2, 4), (3, 3), (5, 2)])
+    def test_site_rates(self, k, N):
+        rng = np.random.default_rng(200 + k)
+        for _ in range(4):
+            spec = random_spec(rng, k, N)
+            idx, up, down = _site_rates(spec)
+            expo = _exponents(spec, _config_counts(spec, idx) / N)
+            expected = math_exps(expo)
+            assert same_bits(up, expected[0]) and same_bits(down, expected[1])
+
+    def test_gibbs_measure(self):
+        # The coupling table, and with it the Gibbs measure, is k = 3 only.
+        rng = np.random.default_rng(300)
+        for N in (2, 3, 3, 3, 3):
+            spec = random_spec(rng, 3, N)
+            h = _energy(spec, _config_counts(spec, np.arange(1 << (3 * N))))
+            w = math_exps(-(h - np.min(h)))[0]
+            assert same_bits(gibbs_measure(spec), w / np.sum(w))
+
