@@ -5,10 +5,11 @@ lines carrying the full configuration, then one row per record) or JSON
 (an object with "config", "columns" and "rows" mirroring the CSV schema).
 Every float cell is ``repr`` of the float64, its shortest round-trip form,
 so a rerun with the same configuration and seed reproduces the file byte
-for byte.  `simulate` and `ode` hand the writer their path as one float
-array; both formats compute that ``repr`` once per distinct value of a
-column and write the rows in blocks of :data:`WRITE_BLOCK_ROWS`, so the
-whole text is never held in memory.
+for byte.  Each format has one layout and one speller of cells, and
+writes the rows in blocks of :data:`WRITE_BLOCK_ROWS`, so the whole text is
+never held in memory.  `simulate` and `ode` hand the writer their path as
+one float array, spelled once per distinct value of a column; the other
+commands' rows of mixed cells are spelled cell by cell.
 
 Exit codes: 0 success, 1 runtime or check failure, 2 configuration error
 (the message names the offending field).
@@ -90,10 +91,6 @@ def _resolve_kappa(values: list[str] | None, J: float, k: int) -> tuple[float, .
         floats = [float(v) for part in values for v in part.split(",") if v.strip()]
     except ValueError as exc:
         raise ConfigError(f"kappa: {exc}") from None
-    if len(floats) == 1:
-        floats = floats * k
-    if len(floats) != k:
-        raise ConfigError(f"kappa: expected 1 or {k} values, got {len(floats)}")
     return tuple(floats)
 
 
@@ -128,24 +125,6 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _cell_blocks(table: np.ndarray, spell):
-    """The cells of a float table as text, :data:`WRITE_BLOCK_ROWS` rows at a time.
-
-    Each block is an iterator over row tuples.  ``spell`` runs once per
-    distinct bit pattern of a column in the block; keying on bits keeps -0.0
-    apart from 0.0 and every nan payload apart.
-    """
-    bits = np.ascontiguousarray(table, dtype=np.float64).view(np.uint64)
-    for start in range(0, len(bits), WRITE_BLOCK_ROWS):
-        columns = []
-        for column in bits[start:start + WRITE_BLOCK_ROWS].T:
-            distinct, inverse = np.unique(column, return_inverse=True)
-            spelled = np.array([spell(v) for v in distinct.view(np.float64).tolist()],
-                               dtype=object)
-            columns.append(spelled[inverse].tolist())
-        yield zip(*columns)
-
-
 def _json_float(value: float) -> str:
     """A float as ``json.dumps`` writes it: ``repr``, or NaN / Infinity / -Infinity."""
     if math.isfinite(value):
@@ -153,17 +132,46 @@ def _json_float(value: float) -> str:
     return "NaN" if value != value else ("Infinity" if value > 0 else "-Infinity")
 
 
-def _csv_blocks(rows):
-    """The CSV data lines of ``rows``, as newline-terminated blocks of text.
+# The spellers of the two formats: the cells of a sequence of values.  A
+# float is tested for inline, so the cells of a float array cost one
+# ``repr`` or :func:`_json_float` each, with no further call.
+def _csv_cells(values) -> list[str]:
+    """CSV cells: :func:`_fmt` of each value."""
+    return [repr(v) if type(v) is float else _fmt(v) for v in values]
 
-    A float array goes through :func:`_cell_blocks` with ``repr``; a list of
-    mixed rows goes through :func:`_fmt` cell by cell.  Both give the same
-    text for the same floats.
+
+def _json_cells(values) -> list[str]:
+    """JSON cells as ``json.dumps`` writes them: a float through
+    :func:`_json_float`, anything else through ``json.dumps`` itself."""
+    return [_json_float(v) if type(v) is float else json.dumps(v) for v in values]
+
+
+def _cell_blocks(rows, spell):
+    """The cells of ``rows`` as text, :data:`WRITE_BLOCK_ROWS` rows at a time.
+
+    Each block is an iterable of rows of cells, from ``spell`` (a sequence
+    of values to their cells).  A list of rows is spelled row by row.  A
+    float array is spelled once per distinct bit pattern of a column in the
+    block; keying on bits keeps -0.0 apart from 0.0 and every nan payload
+    apart.
     """
     if not isinstance(rows, np.ndarray):
-        yield "".join(",".join(_fmt(v) for v in row) + "\n" for row in rows)
+        for start in range(0, len(rows), WRITE_BLOCK_ROWS):
+            yield map(spell, rows[start:start + WRITE_BLOCK_ROWS])
         return
-    for cells in _cell_blocks(rows, repr):
+    bits = np.ascontiguousarray(rows, dtype=np.float64).view(np.uint64)
+    for start in range(0, len(bits), WRITE_BLOCK_ROWS):
+        columns = []
+        for column in bits[start:start + WRITE_BLOCK_ROWS].T:
+            distinct, inverse = np.unique(column, return_inverse=True)
+            spelled = np.array(spell(distinct.view(np.float64).tolist()), dtype=object)
+            columns.append(spelled[inverse].tolist())
+        yield zip(*columns)
+
+
+def _csv_blocks(rows):
+    """The CSV data lines of ``rows``, as newline-terminated blocks of text."""
+    for cells in _cell_blocks(rows, _csv_cells):
         yield "\n".join(map(",".join, cells)) + "\n"
 
 
@@ -171,25 +179,16 @@ def _json_rows(rows):
     """The ``"rows"`` array of the JSON dataset, as blocks of text.
 
     The text equals that of one ``json.dumps`` with ``indent=1`` over the
-    whole payload, where the array sits one level deep.  A float array is
-    laid out in that form from :func:`_cell_blocks`.  A list of mixed rows
-    goes through ``json.dumps`` :data:`WRITE_BLOCK_ROWS` rows at a time,
-    shifted one level deeper; ``json.dumps`` escapes newlines inside
-    strings, so every newline it writes is layout.
+    whole payload, where the array sits one level deep, with cells from
+    :func:`_json_cells`.
     """
     if len(rows) == 0:
         yield "[]"
         return
-    if isinstance(rows, np.ndarray):
-        blocks = (",\n".join("  [\n   " + ",\n   ".join(row) + "\n  ]" for row in cells)
-                  for cells in _cell_blocks(rows, _json_float))
-    else:
-        dumps = (json.dumps(rows[start:start + WRITE_BLOCK_ROWS], indent=1)
-                 for start in range(0, len(rows), WRITE_BLOCK_ROWS))
-        blocks = (" " + text[len("[\n"):-len("\n]")].replace("\n", "\n ") for text in dumps)
     yield "[\n"
-    for n, text in enumerate(blocks):
-        yield ("" if n == 0 else ",\n") + text
+    for n, cells in enumerate(_cell_blocks(rows, _json_cells)):
+        yield ("" if n == 0 else ",\n") + ",\n".join(
+            "  [\n   " + ",\n   ".join(row) + "\n  ]" for row in cells)
     yield "\n ]"
 
 

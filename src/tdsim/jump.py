@@ -84,13 +84,6 @@ def _channel_dtype(k: int) -> np.dtype:
     return np.min_scalar_type(2 * k - 1)
 
 
-def _channel_buffer(k: int):
-    """Empty channel stream of :func:`_channel_dtype` items.  While they fit
-    in a byte it is a bytearray: its append costs 17 ns against 48 ns for
-    ``array('B')`` on CPython 3.11, 3 % of a ``converge`` bench job."""
-    return bytearray() if 2 * k <= 256 else array(_channel_dtype(k).char)
-
-
 def _scalar(spec, n, t, t_end, pairs, times, record, stride, event):
     """Scalar loop over ``pairs`` for any k, from counts n at time t after
     ``event`` events: the running sums of the 2k rates are added one at a
@@ -345,8 +338,7 @@ def _simulate_counts(spec, n, t_end, blocks, stride):
     scalar = _scalar_3 if spec.k == 3 else _scalar
     kernels = None
     times = [0.0]
-    channels = _channel_buffer(spec.k)
-    extend = channels.extend if isinstance(channels, bytearray) else channels.frombytes
+    channels = array(_channel_dtype(spec.k).char)
     t = 0.0
     event = window_events = sweeps = window = 0
     for E, U in blocks:
@@ -366,7 +358,7 @@ def _simulate_counts(spec, n, t_end, blocks, stride):
                 kernels, n, t, t_end, E[i:i + m], U[i:i + m])
             sweeps += used
             if len(chosen):
-                extend(chosen.astype(_channel_dtype(spec.k)).tobytes())
+                channels.frombytes(chosen.astype(_channel_dtype(spec.k)).tobytes())
                 times += when[(stride - 1 - event) % stride::stride].tolist()
                 t = float(when[-1])
                 event += len(chosen)
@@ -451,9 +443,12 @@ def sup_distance(a: Trajectory, b: Trajectory, t: float) -> float:
     """sup over s <= t of the max-norm gap between two paths.
 
     Stochastic paths count as right-continuous step functions, deterministic
-    ones as linearly interpolated between their recorded nodes.  The sup is
-    taken over the event times of both trajectories (both one-sided limits
-    at step discontinuities) plus the endpoints 0 and t.
+    ones as linearly interpolated between their recorded nodes.  Both paths
+    are evaluated once on the sorted times of both plus 0 and t; no node of
+    either lies between two neighbouring grid points.  The sup is taken over
+    the gaps there and over the gaps of the left limits: a step path's is
+    its value at the previous grid point, a deterministic path's its value
+    at the point itself.
     """
     if t < 0:
         raise ValueError("t must be non-negative")
@@ -462,24 +457,10 @@ def sup_distance(a: Trajectory, b: Trajectory, t: float) -> float:
             raise ValueError(
                 f"trajectory on [{traj.times[0]}, {traj.times[-1]}] does not cover [0, {t}]"
             )
-    # Duplicate or unsorted points do not change a max, so nothing is sorted.
-    grid = np.concatenate((a.times, b.times, [0.0, t]))
+    # Both time arrays are sorted runs, which a stable sort merges in linear time.
+    grid = np.sort(np.concatenate((a.times, b.times, [0.0, t])), kind="stable")
     grid = grid[(grid >= 0.0) & (grid <= t)]
-    best = float(np.max(np.abs(a.value_at(grid) - b.value_at(grid))))
-    # Left limits at jump times of any step-function path.
-    for step, other in ((a, b), (b, a)):
-        if step.kind != "stochastic" or len(step) < 2:
-            continue
-        jumps = step.times[1:]
-        jumps = jumps[(jumps > 0.0) & (jumps <= t)]
-        if len(jumps) == 0:
-            continue
-        idx = np.searchsorted(step.times, jumps, side="right") - 2
-        left_vals = step.states[np.clip(idx, 0, len(step) - 1)]
-        if other.kind == "stochastic":
-            oidx = np.searchsorted(other.times, jumps, side="left") - 1
-            other_vals = other.states[np.clip(oidx, 0, len(other) - 1)]
-        else:
-            other_vals = other.value_at(jumps)
-        best = max(best, float(np.max(np.abs(left_vals - other_vals))))
-    return best
+    va, vb = a.value_at(grid), b.value_at(grid)
+    left_a = va[:-1] if a.kind == "stochastic" else va[1:]
+    left_b = vb[:-1] if b.kind == "stochastic" else vb[1:]
+    return float(max(np.max(np.abs(va - vb)), np.max(np.abs(left_a - left_b))))

@@ -28,7 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jump
-from .model import DensityState, LoopSpec, _exact_exps, _exponents, channel_rates
+from .model import (DensityState, LoopSpec, _exact_exps, _exponents, channel_rates,
+                    exponent_terms)
 from .trajectory import Trajectory
 
 __all__ = [
@@ -94,9 +95,6 @@ class SpinConfiguration:
     def counts(self) -> np.ndarray:
         return np.sum(self.spins == 1, axis=1)
 
-    def densities(self) -> np.ndarray:
-        return self.counts() / self.spec.N
-
 
 def _require_clock(spec: LoopSpec):
     if spec.k != 3:
@@ -146,7 +144,8 @@ def _energy(spec: LoopSpec, counts) -> np.ndarray:
     """Energy from per-type +1 counts (types on the last axis)."""
     n = np.asarray(counts, dtype=float)
     s = 2.0 * n - spec.N  # per-type spin sums
-    a_idx, h_idx = spec.neighbour_indices
+    _, _, types = exponent_terms(spec)
+    a_idx, h_idx, _ = (list(col) for col in zip(*types))
     coupling = np.sum(
         n * (spec.delta * s[..., h_idx] + (1.0 - spec.delta) * s[..., a_idx]), axis=-1
     )

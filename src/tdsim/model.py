@@ -95,12 +95,6 @@ class LoopSpec:
         """Anticlockwise neighbour a(i) on the cycle."""
         return (i - 1) % self.k
 
-    @property
-    def neighbour_indices(self) -> tuple[np.ndarray, np.ndarray]:
-        """(anticlockwise, clockwise) index arrays for all k types."""
-        idx = np.arange(self.k)
-        return (idx - 1) % self.k, (idx + 1) % self.k
-
 
 @dataclass(frozen=True)
 class DensityState:
@@ -286,12 +280,12 @@ def jacobian(spec: LoopSpec, x) -> np.ndarray:
     """
     xv = _as_density_array(x)
     k = spec.k
-    a_idx, h_idx = spec.neighbour_indices
+    dJ, hJ, types = exponent_terms(spec)
     up, down = _exact_exps(_exponents(spec, xv))
     jac = np.zeros((k, k))
     jac[np.arange(k), np.arange(k)] = -(up + down)
     outer = (1.0 - xv) * up + xv * down
-    for i in range(k):
-        jac[i, a_idx[i]] += -2.0 * spec.delta * spec.J * outer[i]
-        jac[i, h_idx[i]] += -2.0 * (1.0 - spec.delta) * spec.J * outer[i]
+    for i, (a, h, _) in enumerate(types):
+        jac[i, a] += -2.0 * dJ * outer[i]
+        jac[i, h] += -2.0 * hJ * outer[i]
     return jac

@@ -354,6 +354,7 @@ class TestConfigErrors:
             (["simulate", "--level", "micro", "--N", "20", "--t-end", "0.2", "--thinning", "5"],
              None, "thinning"),
             (["converge", "--seed", "1", "--N", "100", "--N", "100"], None, "N"),
+            (["simulate", "--seed", "1", "--kappa", "0.1,0.2"], None, "kappa"),
         ],
     )
     def test_exits_2_naming_the_field(self, argv, env, field, tmp_path, monkeypatch, capsys):
@@ -498,7 +499,8 @@ class TestWriteDataset:
                                   "nan,0.5,0.2857142857142857,-0.0"]
 
     @pytest.mark.parametrize("rows", [
-        None, [], [[3, "check\nname", None, 0.5], [1e-300, "pass", -0.0, float("nan")]],
+        None, [], [[3, "check\nname", None, 0.5], [1e-300, "pass", -0.0, float("nan")],
+                   [True, 'caf\u00e9 "q"', 2**64 + 1, None]],
         np.empty((0, 4)), np.array([[5e-324, -0.0, float("inf"), float("-inf")]]),
     ])
     def test_json_is_one_dumps_of_the_payload(self, rows, tmp_path):

@@ -579,15 +579,24 @@ class TestSupDistance:
                  for s, th in ((1, 1), (2, 1), (3, 5))]
         pairs = [(p, det) for p in paths for det in (ref, coarse)]
         pairs += [(paths[0], paths[1]), (paths[1], paths[2]), (paths[2], paths[0])]
+        # Every time of the thinned copy is one of the path's own.
+        thinned = ssa_simulate(spec, x0, 3.0, seed=1, thinning=4)
+        pairs.append((paths[0], thinned))
         # The gap peaks at t itself, which is no node of either path.
         flat = Trajectory(np.array([0.0, 3.0]), np.zeros((2, 3)), kind="stochastic")
         ramp = Trajectory(np.array([0.0, 3.0]), np.array([[0.0] * 3, [1.0] * 3]),
                           kind="deterministic")
         pairs.append((flat, ramp))
+        event = paths[0].times[len(paths[0]) // 2]
         for a, b in pairs:
-            for t in (0.0, 1.234, 3.0):
+            for t in (0.0, 1.234, 3.0, event):
                 assert sup_distance(a, b, t) == sup_distance_union1d(a, b, t)
                 assert sup_distance(b, a, t) == sup_distance_union1d(b, a, t)
+        # A path of one sample covers t = 0 only.
+        point = Trajectory(np.array([0.0]), x0.as_array()[None], kind="stochastic")
+        for other in paths + [ref, flat, ramp, point]:
+            assert sup_distance(point, other, 0.0) == sup_distance_union1d(point, other, 0.0)
+            assert sup_distance(other, point, 0.0) == sup_distance_union1d(other, point, 0.0)
 
     def test_identical_paths(self):
         spec = LoopSpec.with_half_j(J=1.0, delta=0.4, N=20)
