@@ -409,7 +409,7 @@ def _validate_checks(spec: LoopSpec, seed: int):
     """Run the verification battery; yields (name, residual, threshold, status)."""
     rng = jump._stream(seed)
     # Both exact micro checks enumerate configurations; the generator check
-    # also sums 4^(kN) dense generator entries, and the residual at the
+    # stops at the dense generator's limit, and the residual at the
     # configuration needs the k = 3 coupling table.
     enumerable = spec.k * spec.N <= micro.ENUMERATION_LIMIT
     if spec.k * spec.N <= micro.GENERATOR_LIMIT:

@@ -13,13 +13,16 @@ reversible with respect to the Gibbs measure, which
 
 Note the energy double sum runs over all ordered site pairs including the
 diagonal pair; excluding the diagonal would only shift the energy by
-another constant.  All exact enumerations are guarded by k*N <= 20, and the
-generators over configurations by k*N <= 12.  :func:`generator_matrix`
-holds the dense 2^(kN)-square matrix; :func:`lumped_density_generator`
-works from the flip table (each configuration's k*N single-site flip
-targets and rates) and forms dense rows only :data:`ROW_SUM_BLOCK` at a
-time, to take the diagonal from the same row sums.  Flip rates and Gibbs
-weights take their exponentials from :func:`tdsim.model._exact_exps`.
+another constant.  On a cycle every type is the clockwise neighbour of
+exactly one other, so the two neighbour sums of the energy are equal and H
+does not depend on delta; delta enters only the flip rates.  All exact
+enumerations are guarded by k*N <= 20, and the generators over
+configurations by k*N <= 12.  Both generators are built from the flip table
+(each configuration's k*N single-site flip targets and rates), with each
+diagonal minus the sum of its row's k*N rates: :func:`generator_matrix`
+scatters it into the dense 2^(kN)-square matrix,
+:func:`lumped_density_generator` sums it by jump channel.  Flip rates and
+Gibbs weights take their exponentials from :func:`tdsim.model._exact_exps`.
 """
 from __future__ import annotations
 
@@ -45,13 +48,11 @@ __all__ = [
 
 ENUMERATION_LIMIT = 20
 # Largest k*N at which :func:`generator_matrix` and
-# :func:`lumped_density_generator` run.  Both touch 4^(kN) dense entries:
-# the matrix holds them all (128 MiB at k*N = 12, 8 GiB at k*N = 15), the
-# lumped generator sums them a block of rows at a time for its diagonal.
+# :func:`lumped_density_generator` run.  Only the matrix touches 4^(kN)
+# dense entries (128 MiB at k*N = 12, 8 GiB at k*N = 15); the lumped
+# generator keeps the same limit, so that where ``validate`` skips its
+# generator check does not move.
 GENERATOR_LIMIT = 12
-# Dense generator rows that :func:`lumped_density_generator` forms at a time
-# (8 MiB at k*N = 12).
-ROW_SUM_BLOCK = 256
 # Largest rate difference between members of one count class that
 # :func:`lumped_density_generator` accepts as lumpable.
 LUMPING_TOL = 1e-9
@@ -144,11 +145,8 @@ def _energy(spec: LoopSpec, counts) -> np.ndarray:
     """Energy from per-type +1 counts (types on the last axis)."""
     n = np.asarray(counts, dtype=float)
     s = 2.0 * n - spec.N  # per-type spin sums
-    _, _, types = exponent_terms(spec)
-    a_idx, h_idx, _ = (list(col) for col in zip(*types))
-    coupling = np.sum(
-        n * (spec.delta * s[..., h_idx] + (1.0 - spec.delta) * s[..., a_idx]), axis=-1
-    )
+    h_idx = [h for _, h, _ in exponent_terms(spec)[2]]
+    coupling = np.sum(n * s[..., h_idx], axis=-1)
     return (spec.J / spec.N) * coupling - spec.N * float(np.sum(spec.kappa))
 
 
@@ -185,13 +183,6 @@ def _flip_table(spec: LoopSpec):
     return idx[:, None] ^ bits, np.where(plus, down[:, types], up[:, types])
 
 
-def _dense_rows(targets: np.ndarray, rates: np.ndarray) -> np.ndarray:
-    """Dense generator rows of the flip table rows given, diagonal left zero."""
-    rows = np.zeros((len(targets), 1 << targets.shape[1]))
-    rows[np.arange(len(targets))[:, None], targets] = rates
-    return rows
-
-
 def generator_matrix(spec: LoopSpec) -> np.ndarray:
     """Dense generator of the spin-flip chain over all 2^(kN) configurations.
 
@@ -201,8 +192,10 @@ def generator_matrix(spec: LoopSpec) -> np.ndarray:
     k*N = :data:`GENERATOR_LIMIT`.
     """
     _require_dense_generator(spec)
-    q = _dense_rows(*_flip_table(spec))
-    np.fill_diagonal(q, -q.sum(axis=1))
+    targets, rates = _flip_table(spec)
+    q = np.zeros((len(targets),) * 2)
+    q[np.arange(len(targets))[:, None], targets] = rates
+    np.fill_diagonal(q, -rates.sum(axis=1))
     return q
 
 
@@ -246,27 +239,22 @@ def lumped_density_generator(spec: LoopSpec) -> np.ndarray:
     target count class; all representatives of a count class must agree
     (the chain is lumpable because rates depend only on counts), which is
     verified to :data:`LUMPING_TOL`.  Every entry has the bits of summing
-    the rows of :func:`generator_matrix` over each class: a class's rates
-    are added in increasing target order, and each diagonal is the row sum
-    of the dense row, formed :data:`ROW_SUM_BLOCK` rows at a time.
+    the rows of :func:`generator_matrix` over each class: the rates a class
+    receives from one configuration are equal, so their order does not
+    matter, and both take the diagonal from the same flip rates.
     """
     _require_dense_generator(spec)
     N = spec.N
     k = spec.k
     targets, rates = _flip_table(spec)
     size = len(targets)
-    diag = np.empty(size)
-    for start in range(0, size, ROW_SUM_BLOCK):
-        block = slice(start, start + ROW_SUM_BLOCK)
-        diag[block] = -_dense_rows(targets[block], rates[block]).sum(axis=1)
+    diag = -rates.sum(axis=1)
     # A flip of type i reaches the class n + e_i (channel 2i) or n - e_i
     # (channel 2i + 1); one bincount sums every configuration's channels.
     src = np.arange(size)[:, None]
     channel = 2 * np.repeat(np.arange(k), N) + (targets < src)
-    order = np.argsort(targets, axis=1)
-    keys = np.take_along_axis(src * (2 * k) + channel, order, axis=1).ravel()
-    weights = np.take_along_axis(rates, order, axis=1).ravel()
-    sums = np.bincount(keys, weights=weights, minlength=size * 2 * k).reshape(size, 2 * k)
+    keys = (src * (2 * k) + channel).ravel()
+    sums = np.bincount(keys, weights=rates.ravel(), minlength=size * 2 * k).reshape(size, 2 * k)
     rows = np.column_stack((diag, sums))
     counts = _config_counts(spec, src[:, 0])
     class_of = np.ravel_multi_index(tuple(counts.T), (N + 1,) * k)

@@ -17,7 +17,10 @@ class Trajectory:
     (evaluated by linear interpolation; cubic Hermite when node derivatives
     are stored in ``derivs``).  ``meta`` records how the path was produced:
     parameter snapshot plus seed for stochastic paths, integrator settings
-    for deterministic ones.
+    for deterministic ones.  Deterministic times increase strictly (the
+    Hermite step divides by them); stochastic times only never decrease,
+    since at large total rates ``t + e / total`` can round to ``t`` and put
+    two events at one time.
     """
 
     times: np.ndarray
@@ -33,10 +36,13 @@ class Trajectory:
             raise ValueError("times must be (M,) and states (M, k) with equal M")
         if len(times) == 0:
             raise ValueError("trajectory must contain at least one sample")
-        if len(times) > 1 and not np.all(np.diff(times) > 0):
-            raise ValueError("times must be strictly increasing")
         if self.kind not in ("stochastic", "deterministic"):
             raise ValueError(f"unknown trajectory kind {self.kind!r}")
+        steps = np.diff(times)
+        if self.kind == "stochastic" and not np.all(steps >= 0):
+            raise ValueError("times must be non-decreasing")
+        if self.kind == "deterministic" and not np.all(steps > 0):
+            raise ValueError("times must be strictly increasing")
         if self.derivs is not None:
             derivs = np.asarray(self.derivs, dtype=float)
             if derivs.shape != states.shape:
@@ -47,10 +53,6 @@ class Trajectory:
 
     def __len__(self) -> int:
         return len(self.times)
-
-    @property
-    def t_end(self) -> float:
-        return float(self.times[-1])
 
     @property
     def final_state(self) -> np.ndarray:

@@ -485,6 +485,31 @@ class TestSsaSimulate:
         se = increments.std(axis=0, ddof=1) / math.sqrt(reps)
         assert np.all(np.abs(mean - f) <= 3 * se + 1e-9)
 
+    @pytest.mark.parametrize("N, block, index", [(100, 0, 100), (10_000, 1, 3000)])
+    def test_tied_event_times(self, monkeypatch, N, block, index):
+        # An exponential variate of 1e-300 makes t + e / total round to t,
+        # so two events share a time: in the first block's scalar loop at
+        # N = 100, in a window of the second block at N = 1e4.
+        variates = jump._variates
+
+        def tiny(rng, blocks):
+            for b, (E, U) in enumerate(variates(rng, blocks)):
+                if b == block:
+                    E = E.copy()
+                    E[index] = 1e-300
+                yield E, U
+
+        monkeypatch.setattr(jump, "_variates", tiny)
+        spec = LoopSpec.with_half_j(J=1.0, delta=0.3, N=N)
+        x0 = DensityState.from_counts((4 * N // 5, N // 5, N // 2), N)
+        traj = ssa_simulate(spec, x0, 7000.0 / N, seed=5, thinning=1)
+        row = jump._FIRST_BATCH * block + index
+        assert np.flatnonzero(np.diff(traj.times) == 0).tolist() == [row]
+        if block:
+            assert traj.meta["window_events"] > row
+        assert np.array_equal(traj.value_at(traj.times[row]), traj.states[[row + 1]])
+        assert sup_distance(traj, traj, traj.times[-1]) == 0.0
+
     def test_invalid_inputs(self):
         spec = LoopSpec.with_half_j(J=1.0, delta=0.5, N=10)
         x0 = DensityState.from_counts((5, 5, 5), 10)

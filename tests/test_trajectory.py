@@ -7,7 +7,9 @@ from tdsim.trajectory import Trajectory
 
 def test_rejects_non_increasing_times():
     with pytest.raises(ValueError):
-        Trajectory(np.array([0.0, 1.0, 1.0]), np.zeros((3, 2)), kind="stochastic")
+        Trajectory(np.array([0.0, 1.0, 0.5]), np.zeros((3, 2)), kind="stochastic")
+    with pytest.raises(ValueError):
+        Trajectory(np.array([0.0, 1.0, 1.0]), np.zeros((3, 2)), kind="deterministic")
 
 
 def test_rejects_shape_mismatch():
