@@ -83,6 +83,11 @@ CASES = {
         "--N", "500", "--replicas", "4", "--t-end", "1", "--seed", "8",
         "--x0", "0.8,0.2,0.5",
     ],
+    # Windows need N >= 400 (|J| + 1); at N = 2000 most events run in them.
+    "converge_windowed.csv": [
+        "converge", "--J", "1", "--delta", "0.3", "--kappa", "0.5", "--x0", "0.8,0.2,0.5",
+        "--t-end", "1", "--N", "200", "--N", "2000", "--replicas", "3", "--seed", "21",
+    ],
     "validate_N2.csv": [
         "validate", "--J", "1.2", "--delta", "0.3", "--N", "2", "--seed", "2",
     ],
