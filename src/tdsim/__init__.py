@@ -22,7 +22,7 @@ from .analysis import (
     symmetric_spectrum,
     z_system,
 )
-from .jump import ssa_simulate, sup_distance
+from .jump import ssa_simulate, ssa_sup_distance, sup_distance
 from .micro import (
     SpinConfiguration,
     generator_matrix,
@@ -57,6 +57,7 @@ __all__ = [
     "reversibility_residual",
     "micro_simulate",
     "ssa_simulate",
+    "ssa_sup_distance",
     "sup_distance",
     "integrate",
     "integrate_linear",

@@ -14,7 +14,8 @@ from :func:`fixed_point_branch`) and the complex pair crosses at J = 2
 orthonormal rotation that maps the diagonal to the third axis, in which the
 linearization block-diagonalizes and the planar dynamics reduces to the
 polar rates (J - 2, -sqrt(3) J (2 delta - 1)), and the finite-N
-convergence experiment.
+convergence experiment, whose replicas are folded into their sup-distance
+as the sampler runs.
 
 :func:`symmetric_spectrum` and :func:`z_system` return the closed forms
 directly; their cross-checks against the numerical Jacobian live in the
@@ -304,6 +305,8 @@ def convergence_experiment(
     median and quartiles; whether the medians decrease in N is for the caller
     to judge.  Their log-log slope is None unless two or more medians are all
     positive.  Replica seeds derive from (seed, N index, replica index).
+    Each replica's sup-distance comes from :func:`tdsim.jump.ssa_sup_distance`,
+    which stores no path.
     """
     if replicas < 0:
         raise ValueError("replicas must be non-negative")
@@ -320,10 +323,8 @@ def convergence_experiment(
         grid_x0 = DensityState.from_counts(
             [int(round(v * N)) for v in x0], int(N)
         )
-        sups = []
-        for r in range(replicas):
-            traj = jump.ssa_simulate(spec, grid_x0, t, jump.derive_seed(seed, p, r), thinning=1)
-            sups.append(jump.sup_distance(traj, reference, t))
+        sups = [jump.ssa_sup_distance(spec, grid_x0, reference, t, jump.derive_seed(seed, p, r))
+                for r in range(replicas)]
         q25, med, q75 = np.percentile(sups, [25, 50, 75])
         rows.append(ConvergenceRow(N=int(N), median=float(med), q25=float(q25), q75=float(q75)))
     slope = None

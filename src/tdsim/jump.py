@@ -19,12 +19,14 @@ bit.  Where windows do not settle quickly (small N, strong coupling), a
 scalar loop runs instead (unrolled for k = 3); an event moves one type, so
 only the two exponents that read its count are recomputed (the
 dependency-graph idea of Gibson & Bruck, J. Phys. Chem. A 104, 2000).  Both
-take their constants from :func:`tdsim.model.exponent_terms`, read their
-variates from :func:`_variates` and record a path as a channel stream, one
-index per event (channel 2i raises type i, 2i + 1 lowers it);
-:func:`ssa_simulate` rebuilds the recorded counts from it in one numpy pass
-per type.  The per-site
-sampler :func:`tdsim.micro.micro_simulate` runs on :func:`ssa_simulate`.
+take their constants from :func:`tdsim.model.exponent_terms` and read
+their variates from :func:`_variates`.  :func:`_chunks` runs them and hands
+out the path one window or scalar run at a time: the counts before each
+event, the event times and the counts after the chunk.  It has two
+consumers: :func:`ssa_simulate` records every ``thinning``-th state, and
+:func:`ssa_sup_distance` folds each chunk into the sup-distance to a
+deterministic path without storing any.  The per-site sampler
+:func:`tdsim.micro.micro_simulate` runs on :func:`ssa_simulate`.
 
 Randomness: each run owns a PCG64 generator seeded through
 ``numpy.random.SeedSequence(seed)``.  Ensemble helpers derive per-replica
@@ -44,7 +46,7 @@ import numpy as np
 from .model import DensityState, LoopSpec, _exact_exps, _exponents, exponent_terms
 from .trajectory import Trajectory
 
-__all__ = ["ssa_simulate", "sup_distance", "derive_seed"]
+__all__ = ["ssa_simulate", "ssa_sup_distance", "sup_distance", "derive_seed"]
 
 # RNG variates are drawn in blocks; the first block is small so that short
 # runs do not pay for a full refill.
@@ -79,17 +81,12 @@ def _variates(rng: np.random.Generator, blocks: list):
         size = _BATCH
 
 
-def _channel_dtype(k: int) -> np.dtype:
-    """Smallest unsigned type that holds every channel index 0 .. 2k - 1."""
-    return np.min_scalar_type(2 * k - 1)
-
-
-def _scalar(spec, n, t, t_end, pairs, times, record, stride, event):
-    """Scalar loop over ``pairs`` for any k, from counts n at time t after
-    ``event`` events: the running sums of the 2k rates are added one at a
-    time, the total is the last, and the channel is the first above
-    u * total.  Returns (counts, t, event, stopped), where stopped means
-    t_end was reached."""
+def _scalar(spec, n, t, t_end, pairs, record, when):
+    """Scalar loop over ``pairs`` for any k, from counts n at time t: the
+    running sums of the 2k rates are added one at a time, the total is the
+    last, and the channel is the first above u * total.  Passes each event's
+    channel to ``record`` and its time to ``when``.  Returns (counts, t,
+    stopped), where stopped means t_end was reached."""
     N = spec.N
     invN = 1.0 / N
     dJ, hJ, types = exponent_terms(spec)
@@ -113,7 +110,7 @@ def _scalar(spec, n, t, t_end, pairs, times, record, stride, event):
         tot = cum[last]
         t_next = t + e / tot
         if t_next >= t_end:
-            return n, t, event, True
+            return n, t, True
         chosen = bisect_right(cum, u * tot, 0, last)
         j = chosen >> 1
         n[j] += -1 if chosen & 1 else 1
@@ -122,13 +119,11 @@ def _scalar(spec, n, t, t_end, pairs, times, record, stride, event):
         fresh = readers[j]
         record(chosen)
         t = t_next
-        event += 1
-        if event % stride == 0:
-            times.append(t)
-    return n, t, event, False
+        when(t)
+    return n, t, False
 
 
-def _scalar_3(spec, n, t, t_end, pairs, times, record, stride, event):
+def _scalar_3(spec, n, t, t_end, pairs, record, when):
     """:func:`_scalar` unrolled for three types, with the same bits."""
     N = spec.N
     invN = 1.0 / N
@@ -162,7 +157,7 @@ def _scalar_3(spec, n, t, t_end, pairs, times, record, stride, event):
         tot = s4 + d2
         t_next = t + e / tot
         if t_next >= t_end:
-            return [n0, n1, n2], t, event, True
+            return [n0, n1, n2], t, True
         v = u * tot
         if v < u0:
             n0 += 1
@@ -189,10 +184,8 @@ def _scalar_3(spec, n, t, t_end, pairs, times, record, stride, event):
             moved = 2
             record(5)
         t = t_next
-        event += 1
-        if event % stride == 0:
-            times.append(t)
-    return [n0, n1, n2], t, event, False
+        when(t)
+    return [n0, n1, n2], t, False
 
 
 # The loop advances a path one window of variates at a time.  It guesses
@@ -229,6 +222,14 @@ _SETTLE_N = 400
 _guess_exp = np.exp
 
 
+def _moves(k: int) -> np.ndarray:
+    """moves[:, c] is channel c's count change, +1 (even c) or -1 (odd c) on
+    type c >> 1."""
+    moves = np.zeros((k, 2 * k))
+    moves[np.arange(2 * k) >> 1, np.arange(2 * k)] = [1.0, -1.0] * k
+    return moves
+
+
 class _Kernels:
     """The numpy steps of the windowed loop for one spec.  Built on a run's
     first window, so that importing the module allocates no array.  The
@@ -240,10 +241,7 @@ class _Kernels:
         self.spec = spec
         dJ, hJ, types = exponent_terms(spec)
         a, h, kappa = zip(*types)
-        # moves[:, c] is channel c's count change, +1 (even c) or -1 (odd c)
-        # on type c >> 1.
-        self.moves = np.zeros((k, 2 * k))
-        self.moves[np.arange(2 * k) >> 1, np.arange(2 * k)] = [1.0, -1.0] * k
+        self.moves = _moves(k)
         self.N = spec.N
         self.invN = 1.0 / spec.N
         # The guess's exponents as one affine map of the counts: fewer numpy
@@ -284,10 +282,11 @@ class _Kernels:
 def _window(kernels, n, t, t_end, E, U):
     """The exact events of one window from counts n at time t.
 
-    Returns (channels, times, counts, sweeps, fixed, stopped): the accepted
-    events' channels and times; the counts after them; the sweeps the guess
-    took; whether it reached a fixed point within :data:`_MAX_SWEEPS`; and
-    whether the event after them falls at or past t_end.
+    Returns (before, times, counts, sweeps, fixed, stopped): the counts
+    before each accepted event as k columns, and its time; the counts after
+    them; the sweeps the guess took; whether it reached a fixed point within
+    :data:`_MAX_SWEEPS`; and whether the event after them falls at or past
+    t_end.
     """
     m = len(E)
     G = np.empty((len(n), m))
@@ -323,71 +322,74 @@ def _window(kernels, n, t, t_end, E, U):
     accepted = min(accepted, before_end)
     if accepted:
         n = (G[:, accepted - 1] + kernels.moves[:, exact[accepted - 1]]).astype(int).tolist()
-    return exact[:accepted], times[:accepted], n, sweeps, fixed, stopped
+    return G[:, :accepted], times[:accepted], n, sweeps, fixed, stopped
 
 
-def _simulate_counts(spec, n, t_end, blocks, stride):
-    """Windowed loop with the scalar loop's law, stream use and bits.  The
-    first variate block runs scalar.  Where N >= _SETTLE_N (|J| + 1),
-    later blocks run windows: the first is :data:`_WINDOW_MIN` variates
-    wide, each doubles after a fixed point and halves otherwise, and one
-    narrower than :data:`_WINDOW_MIN` hands the rest of its block to the
-    scalar loop, after which windows start again at that width.  Returns
-    (recorded times, channel stream, events accepted by windows, sweeps)."""
+def _chunks(spec, n, t_end, blocks):
+    """The path from counts n at time 0 up to t_end, one window or scalar run
+    at a time, with the scalar loop's law, stream use and bits.
+
+    Yields (before, times, counts, sweeps) per chunk: the counts before each
+    event as the k columns of a float array, the event times, the counts
+    after the chunk and the sweeps its guess took (0 for a scalar run).  The
+    first variate block runs scalar.  Where N >= _SETTLE_N (|J| + 1), later
+    blocks run windows: the first is :data:`_WINDOW_MIN` variates wide, each
+    doubles after a fixed point and halves otherwise, and one narrower than
+    :data:`_WINDOW_MIN` hands the rest of its block to the scalar loop, after
+    which windows start again at that width.
+    """
     restart = _WINDOW_MIN if spec.N >= _SETTLE_N * (abs(spec.J) + 1) else 0
     scalar = _scalar_3 if spec.k == 3 else _scalar
+    moves = _moves(spec.k)
     kernels = None
-    times = [0.0]
-    channels = array(_channel_dtype(spec.k).char)
     t = 0.0
-    event = window_events = sweeps = window = 0
+    window = 0
     for E, U in blocks:
         i = 0
         while i < len(E):
             m = min(window, len(E) - i)
             if m < _WINDOW_MIN:
-                pairs = zip(E[i:].tolist(), U[i:].tolist())
-                n, t, event, stopped = scalar(
-                    spec, n, t, t_end, pairs, times, channels.append, stride, event)
+                channels, when = array("l"), array("d")
+                start = n
+                n, t, stopped = scalar(spec, n, t, t_end, zip(E[i:].tolist(), U[i:].tolist()),
+                                       channels.append, when.append)
+                yield (_before(moves, start, np.frombuffer(channels, "l")),
+                       np.frombuffer(when), n, 0)
                 if stopped:
-                    return times, channels, window_events, sweeps
+                    return
                 window = max(window, restart)
                 break
             kernels = kernels or _Kernels(spec)
-            chosen, when, n, used, fixed, stopped = _window(
+            G, when, n, used, fixed, stopped = _window(
                 kernels, n, t, t_end, E[i:i + m], U[i:i + m])
-            sweeps += used
-            if len(chosen):
-                channels.frombytes(chosen.astype(_channel_dtype(spec.k)).tobytes())
-                times += when[(stride - 1 - event) % stride::stride].tolist()
-                t = float(when[-1])
-                event += len(chosen)
-                window_events += len(chosen)
-                i += len(chosen)
+            yield G, when, n, used
             if stopped:
-                return times, channels, window_events, sweeps
+                return
+            t = float(when[-1])
+            i += len(when)
             window = min(2 * window, _WINDOW_MAX) if fixed else window // 2
-    return times, channels, window_events, sweeps
 
 
-def _recorded_counts(n0, channels, stride, rows):
-    """Count rows rebuilt from a channel stream: n0, then n0 plus the running
-    sum of +1 (even channel) or -1 (odd channel) on type channel >> 1 after
-    every ``stride``-th event; rows past the last such event hold the counts
-    after every event."""
-    k = len(n0)
-    c = np.frombuffer(channels, dtype=_channel_dtype(k))
-    kind = c >> 1
-    sign = 1 - 2 * (c & 1).astype(np.int8)
-    last = len(c) // stride
-    counts = np.empty((rows, k), dtype=np.int64)
-    counts[0] = n0
-    for i in range(k):
-        # One type at a time, so no (events, k) temporary is ever held.
-        steps = np.cumsum(np.where(kind == i, sign, 0), dtype=np.int64)
-        counts[1:last + 1, i] = n0[i] + steps[stride - 1::stride]
-        counts[last + 1:, i] = n0[i] + (steps[-1] if len(steps) else 0)
-    return counts
+def _before(moves, n, channels):
+    """Counts before each event of a channel stream that starts at counts n,
+    as k float columns: n, then n plus the running sum of the moves."""
+    G = np.empty((len(n), len(channels)))
+    if len(channels):
+        G[:, 0] = n
+        np.cumsum(moves[:, channels[:-1]], axis=1, out=G[:, 1:])
+        G[:, 1:] += G[:, :1]
+    return G
+
+
+def _start_counts(spec, x0, t_end):
+    """The counts of x0 after checking it and t_end against the spec."""
+    if not math.isfinite(t_end) or t_end < 0:
+        raise ValueError(f"t_end must be finite and non-negative, got {t_end!r}")
+    if not isinstance(x0, DensityState):
+        x0 = DensityState(tuple(x0), grid=spec.N)
+    if x0.grid != spec.N or len(x0.x) != spec.k:
+        raise ValueError("x0 must live on the 1/N grid of the given spec")
+    return list(x0.counts)
 
 
 def ssa_simulate(
@@ -408,35 +410,99 @@ def ssa_simulate(
     guesses took.  The last two follow numpy's exp kernel, which only the
     guess uses; no output bit does.
     """
-    if not math.isfinite(t_end) or t_end < 0:
-        raise ValueError(f"t_end must be finite and non-negative, got {t_end!r}")
-    if not isinstance(x0, DensityState):
-        x0 = DensityState(tuple(x0), grid=spec.N)
-    if x0.grid != spec.N or len(x0.x) != spec.k:
-        raise ValueError("x0 must live on the 1/N grid of the given spec")
+    n = _start_counts(spec, x0, t_end)
     stride = default_thinning(spec.N) if thinning is None else int(thinning)
     if stride < 1:
         raise ValueError("thinning stride must be >= 1")
 
     blocks = []
-    n0 = x0.counts
-    times, channels, window_events, sweeps = _simulate_counts(
-        spec, list(n0), t_end, _variates(_stream(seed), blocks), stride)
-    if times[-1] < t_end:
-        times.append(t_end)
+    times, states = [np.zeros(1)], [np.array([n]) / spec.N]
+    events = window_events = sweeps = 0
+    for G, when, n, used in _chunks(spec, n, t_end, _variates(_stream(seed), blocks)):
+        first = (stride - 1 - events) % stride
+        events += len(when)
+        if used:
+            window_events += len(when)
+            sweeps += used
+        if first < len(when):
+            after = np.column_stack((G[:, 1:], n))
+            states.append(after[:, first::stride].T / spec.N)
+            times.append(when[first::stride].copy())  # frees the chunk's times
+    if times[-1][-1] < t_end:
+        times.append(np.array([t_end]))
+        states.append(np.array([n]) / spec.N)
 
     meta = {
         "spec": spec,
         "seed": int(seed),
         "t_end": float(t_end),
         "thinning": stride,
-        "events": len(channels),
+        "events": events,
         "rng_blocks": len(blocks),
         "window_events": window_events,
         "sweeps": sweeps,
     }
-    counts = _recorded_counts(n0, channels, stride, len(times))
-    return Trajectory(np.array(times), counts / spec.N, kind="stochastic", meta=meta)
+    return Trajectory(np.concatenate(times), np.concatenate(states), kind="stochastic",
+                      meta=meta)
+
+
+def ssa_sup_distance(
+    spec: LoopSpec,
+    x0: DensityState,
+    reference: Trajectory,
+    t: float,
+    seed: int,
+) -> float:
+    """``sup_distance(ssa_simulate(spec, x0, t, seed, thinning=1), reference, t)``,
+    bit for bit, without storing the path.
+
+    The sampler's chunks are folded into a running max as they come.  The
+    path is a step function and ``reference`` is deterministic, so the sup
+    is taken over the gaps at every event time on both sides of the jump, at
+    the reference's nodes in [0, t], and at 0 and t.  Events at one time
+    make one jump: the states between them count nowhere, as in
+    :func:`sup_distance`.  The gaps are the same floats as there: densities
+    are counts / N, and the reference is read at its nodes or with
+    ``np.interp``, as ``value_at`` reads it.
+    """
+    n = _start_counts(spec, x0, t)
+    if reference.kind != "deterministic":
+        raise ValueError("reference must be a deterministic trajectory")
+    if not reference.covers(t):
+        raise ValueError(f"trajectory on [{reference.times[0]}, {reference.times[-1]}] "
+                         f"does not cover [0, {t}]")
+    N = spec.N
+    nodes = reference.times
+    columns = np.ascontiguousarray(reference.states.T)  # one row per type
+    lo = int(np.searchsorted(nodes, 0.0))  # the first node not yet folded
+    # The time of the last jump and the gap just after it, folded in once the
+    # next event is known to fall later; time 0 counts as a jump to x0.
+    last = 0.0
+    after = np.abs(np.array(n) / N - reference.value_at(0.0)[0]).max()
+    sup = 0.0
+    for G, when, n, _ in _chunks(spec, n, t, _variates(_stream(seed), [])):
+        if not len(when):
+            continue
+        before = G / N
+        # The reference at the event times, read as Trajectory.value_at does.
+        ref = np.array([np.interp(when, nodes, x) for x in columns])
+        new = np.empty(len(when), dtype=bool)  # event j falls later than the one before
+        new[0] = when[0] != last
+        np.not_equal(when[1:], when[:-1], out=new[1:])
+        if new[0]:
+            sup = max(sup, after)
+        # Each state between two jumps, against the reference at both.
+        sup = np.max(np.abs(before - ref), where=new, initial=sup)
+        sup = np.max(np.abs(before[:, 1:] - ref[:, :-1]), where=new[1:], initial=sup)
+        hi = int(np.searchsorted(nodes, when[-1]))
+        held = np.searchsorted(when, nodes[lo:hi], side="right")
+        sup = np.max(np.abs(before[:, held] - columns[:, lo:hi]), initial=sup)
+        lo = hi
+        last = when[-1]
+        after = np.abs(np.array(n) / N - ref[:, -1]).max()
+    hi = int(np.searchsorted(nodes, t, side="right"))
+    tail = np.column_stack((columns[:, lo:hi], reference.value_at(t)[0]))
+    return float(max(sup, after, np.abs((np.array(n) / N)[:, None] - tail).max()))
 
 
 def sup_distance(a: Trajectory, b: Trajectory, t: float) -> float:

@@ -15,10 +15,14 @@ root and records why in CHANGES.md:
         main(argv + ['--out', str(GOLDEN / name)])
     "
 """
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import tdsim
 from tdsim.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -105,3 +109,11 @@ def test_dataset_matches_golden(name, tmp_path, capsys):
     out = tmp_path / name
     assert main(CASES[name] + ["--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+def test_python_m_tdsim_writes_the_golden(tmp_path):
+    out = tmp_path / "converge_windowed.csv"
+    env = dict(os.environ, PYTHONPATH=str(Path(tdsim.__file__).resolve().parents[1]))
+    argv = CASES["converge_windowed.csv"] + ["--out", str(out)]
+    subprocess.run([sys.executable, "-m", "tdsim"] + argv, env=env, check=True, timeout=120)
+    assert out.read_bytes() == (GOLDEN / "converge_windowed.csv").read_bytes()

@@ -1,11 +1,12 @@
 """Exact jump-process sampler and the path-distance metric."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from tdsim import jump, ode
-from tdsim.jump import default_thinning, ssa_simulate, sup_distance
+from tdsim.jump import default_thinning, ssa_simulate, ssa_sup_distance, sup_distance
 from tdsim.micro import density_generator
 from tdsim.model import DensityState, LoopSpec, channel_rates, vector_field
 from tdsim.trajectory import Trajectory
@@ -88,7 +89,7 @@ def scalar_step(spec):
 
     def step(n, e, u):
         chosen = []
-        t = loop(spec, list(n), 0.0, math.inf, [(e, u)], [], chosen.append, 1, 0)[1]
+        t = loop(spec, list(n), 0.0, math.inf, [(e, u)], chosen.append, lambda t: None)[1]
         return t, chosen[0]
 
     return step
@@ -282,8 +283,7 @@ class TestWindowedLoop:
         assert_same_path(traj, spec, x0, 10.0, 3, 1)
 
     def test_windows_record_wide_channels(self):
-        # k = 130 has channels up to 259, past a byte; windows must append
-        # them at the stream's two-byte width.
+        # k = 130 has channels up to 259, past a byte.
         k = 130
         spec = LoopSpec.with_half_j(J=1.0, delta=0.3, N=1000, k=k)
         x0 = DensityState.from_counts(spread_counts(k, 1000), 1000)
@@ -388,6 +388,14 @@ class TestExactLaw:
         assert g_test(observed, self.RUNS * transient_law(wrong, n0, 1.0))[0] > 3 * threshold
 
 
+def references(spec, x0, t_end):
+    """Deterministic paths from x0: ``converge``'s reference, sampled every
+    1e-3, and one with the adaptive steps' own nodes."""
+    dense = ode.integrate(spec, x0.as_array(), t_end,
+                          ode.IntegratorSettings(rtol=1e-8, atol=1e-10, sample_dt=1e-3))
+    return dense, ode.integrate(spec, x0.as_array(), t_end)
+
+
 class TestSsaSimulate:
     def test_zero_horizon(self):
         spec = LoopSpec.with_half_j(J=1.0, delta=0.2, N=10)
@@ -485,11 +493,13 @@ class TestSsaSimulate:
         se = increments.std(axis=0, ddof=1) / math.sqrt(reps)
         assert np.all(np.abs(mean - f) <= 3 * se + 1e-9)
 
-    @pytest.mark.parametrize("N, block, index", [(100, 0, 100), (10_000, 1, 3000)])
+    @pytest.mark.parametrize("N, block, index", [(100, 0, 100), (10_000, 1, 3000), (10_000, 1, 0)])
     def test_tied_event_times(self, monkeypatch, N, block, index):
         # An exponential variate of 1e-300 makes t + e / total round to t,
         # so two events share a time: in the first block's scalar loop at
-        # N = 100, in a window of the second block at N = 1e4.
+        # N = 100, in a window of the second block at N = 1e4, and across
+        # the end of the first block's scalar run and the start of the
+        # second block's first window.
         variates = jump._variates
 
         def tiny(rng, blocks):
@@ -509,6 +519,10 @@ class TestSsaSimulate:
             assert traj.meta["window_events"] > row
         assert np.array_equal(traj.value_at(traj.times[row]), traj.states[[row + 1]])
         assert sup_distance(traj, traj, traj.times[-1]) == 0.0
+        # The streamed sup-distance skips the state between the tied events too.
+        for ref in references(spec, x0, traj.times[-1]):
+            assert (ssa_sup_distance(spec, x0, ref, traj.times[-1], seed=5)
+                    == sup_distance(traj, ref, traj.times[-1]))
 
     def test_invalid_inputs(self):
         spec = LoopSpec.with_half_j(J=1.0, delta=0.5, N=10)
@@ -675,3 +689,85 @@ class TestSupDistance:
             if sup_distance(traj, ref, 5.0) < 0.05:
                 hits += 1
         assert hits >= 0.95 * seeds
+
+
+class TestSsaSupDistance:
+    """The sup-distance folded over the sampler's chunks is that of the
+    stored path, bit for bit."""
+
+    @pytest.mark.parametrize("N", [100, 10_000])
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_equals_the_stored_path(self, k, N):
+        # N = 100 runs the scalar loop only, N = 1e4 mostly windows; the
+        # path crosses the 256 and the 256 + 8192 variate refills.
+        spec = LoopSpec.with_half_j(J=1.0, delta=0.3, N=N, k=k)
+        x0 = DensityState.from_counts(spread_counts(k, N), N)
+        t_end = 21_000.0 / (k * N)
+        for seed in (1, 2, 3):
+            traj = ssa_simulate(spec, x0, t_end, seed, thinning=1)
+            assert traj.meta["events"] > 256 + 8192
+            assert (traj.meta["window_events"] > 0) == (N == 10_000)
+            for ref in references(spec, x0, t_end):
+                for t in (0.0, traj.times[len(traj) // 2], t_end / 3, t_end):
+                    stored = sup_distance(ssa_simulate(spec, x0, t, seed, thinning=1), ref, t)
+                    assert ssa_sup_distance(spec, x0, ref, t, seed) == stored
+
+    @staticmethod
+    def hand_made(monkeypatch):
+        """(spec, x0) of a path that both consumers read from hand-made
+        chunks: counts 1, 2, 7, 9, 2 of the first type, the last three
+        events at t = 0.15 and the last of them in the next chunk."""
+        def chunks(spec, n, t_end, blocks):
+            yield np.array([[1.0, 2.0, 7.0], [0.0] * 3]), np.array([0.1, 0.15, 0.15]), [9, 0], 1
+            yield np.array([[9.0], [0.0]]), np.array([0.15]), [2, 0], 0
+            yield np.empty((2, 0)), np.empty(0), [2, 0], 0
+
+        monkeypatch.setattr(jump, "_chunks", chunks)
+        return (LoopSpec(J=0.0, delta=0.0, kappa=(0.0, 0.0), N=10, k=2),
+                DensityState.from_counts((1, 0), 10))
+
+    def test_states_between_tied_events_count_nowhere(self, monkeypatch):
+        # Against a zero reference only counts 7 and 9, which lie between
+        # the tied events, would exceed the sup of 0.2.
+        spec, x0 = self.hand_made(monkeypatch)
+        zero = Trajectory(np.array([0.0, 0.5, 1.0]), np.zeros((3, 2)), kind="deterministic")
+        path = ssa_simulate(spec, x0, 1.0, seed=0, thinning=1)
+        assert path.states[:, 0].tolist() == [0.1, 0.2, 0.7, 0.9, 0.2, 0.2]
+        assert sup_distance(path, zero, 1.0) == 0.2
+        assert ssa_sup_distance(spec, x0, zero, 1.0, seed=0) == 0.2
+
+    @pytest.mark.parametrize("node, value", [(0.12, 0.5), (0.5, -0.7)])
+    def test_reference_nodes_between_events(self, monkeypatch, node, value):
+        # The reference peaks at a node between two events, or after the
+        # last one, and the sup is the gap there.
+        spec, x0 = self.hand_made(monkeypatch)
+        ref = Trajectory(np.array([0.0, node, 1.0]), [[0.0, 0.0], [0.0, value], [0.0, 0.0]],
+                         kind="deterministic")
+        path = ssa_simulate(spec, x0, 1.0, seed=0, thinning=1)
+        assert sup_distance(path, ref, 1.0) == abs(value)
+        assert ssa_sup_distance(spec, x0, ref, 1.0, seed=0) == abs(value)
+
+    def test_memory_stays_per_chunk(self):
+        # Criterion 5's largest replica: about 1.5e5 events, whose stored
+        # path peaks at about 20 MiB.
+        spec = LoopSpec(J=1.0, delta=0.3, kappa=(0.5,) * 3, N=10_000)
+        x0 = DensityState.from_counts((8000, 2000, 5000), 10_000)
+        ref = references(spec, x0, 5.0)[0]
+        tracemalloc.start()
+        try:
+            ssa_sup_distance(spec, x0, ref, 5.0, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
+
+    def test_invalid_inputs(self):
+        spec = LoopSpec.with_half_j(J=1.0, delta=0.3, N=20)
+        x0 = DensityState.from_counts((10, 10, 10), 20)
+        ref = ode.integrate(spec, x0.as_array(), 1.0)
+        for t in (-1.0, float("inf"), 2.0):
+            with pytest.raises(ValueError):
+                ssa_sup_distance(spec, x0, ref, t, seed=0)
+        path = ssa_simulate(spec, x0, 1.0, seed=0)
+        with pytest.raises(ValueError, match="deterministic"):
+            ssa_sup_distance(spec, x0, path, 1.0, seed=0)
