@@ -7,9 +7,12 @@ Every float cell is ``repr`` of the float64, its shortest round-trip form,
 so a rerun with the same configuration and seed reproduces the file byte
 for byte.  Each format has one layout and one speller of cells, and
 writes the rows in blocks of :data:`WRITE_BLOCK_ROWS`, so the whole text is
-never held in memory.  `simulate` and `ode` hand the writer their path as
-one float array, spelled once per distinct value of a column; the other
-commands' rows of mixed cells are spelled cell by cell.
+never held in memory.  `simulate` streams its rows: the writer takes the
+sampler's float tables (:class:`tdsim.jump.Records`) as they are recorded,
+so no run holds its whole path.  `ode` hands the writer one float array.
+Float rows are spelled once per distinct value of a column in a block; the
+other commands' rows of mixed cells are spelled cell by cell.  A dataset
+whose writing fails is removed, so no partial file is left.
 
 Exit codes: 0 success, 1 runtime or check failure, 2 configuration error
 (the message names the offending field).
@@ -19,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import secrets
 import sys
 
@@ -146,23 +150,43 @@ def _json_cells(values) -> list[str]:
     return [_json_float(v) if type(v) is float else json.dumps(v) for v in values]
 
 
+def _row_blocks(tables):
+    """The rows of a stream of float tables, :data:`WRITE_BLOCK_ROWS` at a
+    time (the last block may be shorter), each block as the list of table
+    pieces that make it up.  Pieces are views, so a block that lies in one
+    table is never copied."""
+    pieces, held = [], 0
+    for table in tables:
+        while len(table):
+            take = WRITE_BLOCK_ROWS - held
+            pieces.append(table[:take])
+            held += len(pieces[-1])
+            table = table[take:]
+            if held == WRITE_BLOCK_ROWS:
+                yield pieces
+                pieces, held = [], 0
+    if pieces:
+        yield pieces
+
+
 def _cell_blocks(rows, spell):
     """The cells of ``rows`` as text, :data:`WRITE_BLOCK_ROWS` rows at a time.
 
     Each block is an iterable of rows of cells, from ``spell`` (a sequence
     of values to their cells).  A list of rows is spelled row by row.  A
-    float array is spelled once per distinct bit pattern of a column in the
-    block; keying on bits keeps -0.0 apart from 0.0 and every nan payload
-    apart.
+    float array, or a stream of them, is regrouped by :func:`_row_blocks`;
+    only rows that straddle two tables are copied.  Each block is spelled
+    once per distinct bit pattern of a column; keying on bits keeps -0.0
+    apart from 0.0 and every nan payload apart.
     """
-    if not isinstance(rows, np.ndarray):
+    if isinstance(rows, list):
         for start in range(0, len(rows), WRITE_BLOCK_ROWS):
             yield map(spell, rows[start:start + WRITE_BLOCK_ROWS])
         return
-    bits = np.ascontiguousarray(rows, dtype=np.float64).view(np.uint64)
-    for start in range(0, len(bits), WRITE_BLOCK_ROWS):
+    for pieces in _row_blocks([rows] if isinstance(rows, np.ndarray) else rows):
+        block = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
         columns = []
-        for column in bits[start:start + WRITE_BLOCK_ROWS].T:
+        for column in np.ascontiguousarray(block, dtype=np.float64).view(np.uint64).T:
             distinct, inverse = np.unique(column, return_inverse=True)
             spelled = np.array(spell(distinct.view(np.float64).tolist()), dtype=object)
             columns.append(spelled[inverse].tolist())
@@ -180,16 +204,13 @@ def _json_rows(rows):
 
     The text equals that of one ``json.dumps`` with ``indent=1`` over the
     whole payload, where the array sits one level deep, with cells from
-    :func:`_json_cells`.
+    :func:`_json_cells`; ``[]`` if no row arrives.
     """
-    if len(rows) == 0:
-        yield "[]"
-        return
-    yield "[\n"
-    for n, cells in enumerate(_cell_blocks(rows, _json_cells)):
-        yield ("" if n == 0 else ",\n") + ",\n".join(
-            "  [\n   " + ",\n   ".join(row) + "\n  ]" for row in cells)
-    yield "\n ]"
+    opening = "[\n"
+    for cells in _cell_blocks(rows, _json_cells):
+        yield opening + ",\n".join("  [\n   " + ",\n   ".join(row) + "\n  ]" for row in cells)
+        opening = ",\n"
+    yield "[]" if opening == "[\n" else "\n ]"
 
 
 def write_dataset(
@@ -203,26 +224,35 @@ def write_dataset(
     """Emit one dataset; ``footer`` entries land after the rows (CSV) or in
     the config object (JSON), and re-parse into config either way.
 
-    ``rows`` is a list of rows, or an ``(M, len(columns))`` float array.
+    ``rows`` is a list of rows, an ``(M, len(columns))`` float array, or an
+    iterable of such arrays, each written as it arrives.  If writing
+    raises, a regular file at ``path`` is removed before the error goes
+    on, so no partial dataset is left; a device such as ``/dev/null`` stays.
     """
     if fmt not in ("csv", "json"):
         raise ConfigError(f"format: unknown format {fmt!r}")
-    with open(path, "w") as fh:
-        if fmt == "json":
-            merged = dict(config, **(footer or {}))
-            head = {"tdsim": __version__, "config": merged, "columns": columns, "rows": []}
-            # Everything up to the rows array, which is the last value.
-            fh.write(json.dumps(head, indent=1)[:-len("[]\n}")])
-            fh.writelines(_json_rows(rows))
-            fh.write("\n}\n")
-            return
-        fh.write(f"# tdsim {__version__}\n")
-        for key, value in config.items():
-            fh.write(f"# {key} = {_fmt(value)}\n")
-        fh.write(",".join(columns) + "\n")
-        fh.writelines(_csv_blocks(rows))
-        for key, value in (footer or {}).items():
-            fh.write(f"# {key} = {_fmt(value)}\n")
+    fh = open(path, "w")
+    try:
+        with fh:
+            if fmt == "json":
+                merged = dict(config, **(footer or {}))
+                head = {"tdsim": __version__, "config": merged, "columns": columns, "rows": []}
+                # Everything up to the rows array, which is the last value.
+                fh.write(json.dumps(head, indent=1)[:-len("[]\n}")])
+                fh.writelines(_json_rows(rows))
+                fh.write("\n}\n")
+                return
+            fh.write(f"# tdsim {__version__}\n")
+            for key, value in config.items():
+                fh.write(f"# {key} = {_fmt(value)}\n")
+            fh.write(",".join(columns) + "\n")
+            fh.writelines(_csv_blocks(rows))
+            for key, value in (footer or {}).items():
+                fh.write(f"# {key} = {_fmt(value)}\n")
+    except BaseException:
+        if os.path.isfile(path) and not os.path.islink(path):
+            os.remove(path)
+        raise
 
 
 def read_dataset(path: str):
@@ -275,11 +305,9 @@ def _common_config(args, spec: LoopSpec, **extra) -> dict:
     return config
 
 
-def _write_trajectory(args, config: dict, traj) -> None:
-    """Write a path as columns t, x_A, x_B, ... from one (M, 1 + k) float array."""
-    columns = ["t"] + [f"x_{chr(65 + i)}" for i in range(traj.states.shape[1])]
-    table = np.column_stack((traj.times, traj.states))
-    write_dataset(args.out, config, columns, table, args.format)
+def _path_columns(k: int) -> list[str]:
+    """The columns of a path dataset: t, x_A, x_B, ..."""
+    return ["t"] + [f"x_{chr(65 + i)}" for i in range(k)]
 
 
 def cmd_simulate(args) -> int:
@@ -292,17 +320,15 @@ def cmd_simulate(args) -> int:
         raise ConfigError("thinning: the micro level records every event; use 1 or omit it")
     seed = _resolve_seed(args)
     x0 = _parse_x0(args, spec.k)
-    counts = [int(round(v * spec.N)) for v in x0]
-    if args.level == "density":
-        state0 = DensityState.from_counts(counts, spec.N)
-        traj = jump.ssa_simulate(spec, state0, args.t_end, seed, thinning=args.thinning)
-    else:
-        sigma0 = micro.SpinConfiguration.from_counts(spec, counts)
-        traj = micro.micro_simulate(spec, sigma0, args.t_end, seed)
+    state0 = DensityState.from_counts([int(round(v * spec.N)) for v in x0], spec.N)
+    # The micro chain projects to the density process (see
+    # micro.micro_simulate), so its path is the density path, every event kept.
+    thinning = 1 if args.level == "micro" else args.thinning
+    rows = jump.Records(spec, state0, args.t_end, seed, thinning)
     config = _common_config(
         args, spec, level=args.level, t_end=float(args.t_end), seed=seed, x0=args.x0
     )
-    _write_trajectory(args, config, traj)
+    write_dataset(args.out, config, _path_columns(spec.k), rows, args.format)
     return 0
 
 
@@ -327,7 +353,8 @@ def cmd_ode(args) -> int:
         args, spec, t_end=float(args.t_end), x0=args.x0, method=args.method,
         step=float(args.step), rtol=float(args.rtol), atol=float(args.atol),
     )
-    _write_trajectory(args, config, traj)
+    table = np.column_stack((traj.times, traj.states))
+    write_dataset(args.out, config, _path_columns(spec.k), table, args.format)
     return 0
 
 

@@ -23,10 +23,13 @@ take their constants from :func:`tdsim.model.exponent_terms` and read
 their variates from :func:`_variates`.  :func:`_chunks` runs them and hands
 out the path one window or scalar run at a time: the counts before each
 event, the event times and the counts after the chunk.  It has two
-consumers: :func:`ssa_simulate` records every ``thinning``-th state, and
-:func:`ssa_sup_distance` folds each chunk into the sup-distance to a
-deterministic path without storing any.  The per-site sampler
-:func:`tdsim.micro.micro_simulate` runs on :func:`ssa_simulate`.
+consumers, and neither stores the path: :class:`Records` turns every
+``thinning``-th state of each chunk into a table of rows, which ``tdsim
+simulate`` writes out as they come and :func:`ssa_simulate` concatenates
+into a :class:`~tdsim.trajectory.Trajectory`; :func:`ssa_sup_distance`
+folds each chunk into the sup-distance to a deterministic path.  The
+per-site sampler :func:`tdsim.micro.micro_simulate` runs on
+:func:`ssa_simulate`.
 
 Randomness: each run owns a PCG64 generator seeded through
 ``numpy.random.SeedSequence(seed)``.  Ensemble helpers derive per-replica
@@ -46,7 +49,7 @@ import numpy as np
 from .model import DensityState, LoopSpec, _exact_exps, _exponents, exponent_terms
 from .trajectory import Trajectory
 
-__all__ = ["ssa_simulate", "ssa_sup_distance", "sup_distance", "derive_seed"]
+__all__ = ["Records", "ssa_simulate", "ssa_sup_distance", "sup_distance", "derive_seed"]
 
 # RNG variates are drawn in blocks; the first block is small so that short
 # runs do not pay for a full refill.
@@ -392,6 +395,66 @@ def _start_counts(spec, x0, t_end):
     return list(x0.counts)
 
 
+class Records:
+    """The rows that :func:`ssa_simulate` records, one float table at a time.
+
+    Iterating runs the sampler from ``seed`` and yields ``(M_i, 1 + k)``
+    float tables of rows ``(t, x_1, ..., x_k)``: the row at t = 0, every
+    ``thinning``-th event of each :func:`_chunks` chunk with the state after
+    it as ``counts / N``, and the row at t_end, which holds the state after
+    the last event.  A consumer that writes each table out as it comes holds
+    one chunk of rows, not the path.  ``meta`` carries :func:`ssa_simulate`'s
+    counters, complete once the iteration ends, and ``len`` is the number
+    of rows yielded so far.  The arguments are checked here, not on the
+    first ``next``.
+    """
+
+    def __init__(self, spec: LoopSpec, x0: DensityState, t_end: float, seed: int,
+                 thinning: int | None = None):
+        self._counts = _start_counts(spec, x0, t_end)
+        stride = default_thinning(spec.N) if thinning is None else int(thinning)
+        if stride < 1:
+            raise ValueError("thinning stride must be >= 1")
+        self.meta = {"spec": spec, "seed": int(seed), "t_end": float(t_end), "thinning": stride,
+                     "events": 0, "rng_blocks": 0, "window_events": 0, "sweeps": 0}
+        self.rows = 0
+
+    def __len__(self) -> int:
+        return self.rows
+
+    def __iter__(self):
+        self.rows = 0
+        for table in self._tables():
+            self.rows += len(table)
+            yield table
+
+    def _tables(self):
+        meta = self.meta
+        spec, t_end, stride = meta["spec"], meta["t_end"], meta["thinning"]
+        n = self._counts
+        yield np.concatenate(([0.0], np.array(n) / spec.N))[None]
+        blocks = []
+        events = window_events = sweeps = 0
+        for G, when, n, used in _chunks(spec, n, t_end, _variates(_stream(meta["seed"]), blocks)):
+            first = (stride - 1 - events) % stride
+            events += len(when)
+            if used:
+                window_events += len(when)
+                sweeps += used
+            meta.update(events=events, rng_blocks=len(blocks), window_events=window_events,
+                        sweeps=sweeps)
+            if first < len(when):
+                after = np.column_stack((G[:, 1:], n))[:, first::stride]
+                table = np.empty((after.shape[1], 1 + len(n)))
+                table[:, 0] = when[first::stride]
+                np.divide(after.T, spec.N, out=table[:, 1:])
+                yield table
+        # Every event falls before t_end, so only at t_end = 0 is the last
+        # row's time t_end already.
+        if t_end > 0:
+            yield np.concatenate(([t_end], np.array(n) / spec.N))[None]
+
+
 def ssa_simulate(
     spec: LoopSpec,
     x0: DensityState,
@@ -408,42 +471,12 @@ def ssa_simulate(
     ``meta`` counts the ``events`` and the ``rng_blocks`` of variates drawn,
     the ``window_events`` accepted by windows and the ``sweeps`` their
     guesses took.  The last two follow numpy's exp kernel, which only the
-    guess uses; no output bit does.
+    guess uses; no output bit does.  The path is the :class:`Records` of
+    the same arguments, concatenated.
     """
-    n = _start_counts(spec, x0, t_end)
-    stride = default_thinning(spec.N) if thinning is None else int(thinning)
-    if stride < 1:
-        raise ValueError("thinning stride must be >= 1")
-
-    blocks = []
-    times, states = [np.zeros(1)], [np.array([n]) / spec.N]
-    events = window_events = sweeps = 0
-    for G, when, n, used in _chunks(spec, n, t_end, _variates(_stream(seed), blocks)):
-        first = (stride - 1 - events) % stride
-        events += len(when)
-        if used:
-            window_events += len(when)
-            sweeps += used
-        if first < len(when):
-            after = np.column_stack((G[:, 1:], n))
-            states.append(after[:, first::stride].T / spec.N)
-            times.append(when[first::stride].copy())  # frees the chunk's times
-    if times[-1][-1] < t_end:
-        times.append(np.array([t_end]))
-        states.append(np.array([n]) / spec.N)
-
-    meta = {
-        "spec": spec,
-        "seed": int(seed),
-        "t_end": float(t_end),
-        "thinning": stride,
-        "events": events,
-        "rng_blocks": len(blocks),
-        "window_events": window_events,
-        "sweeps": sweeps,
-    }
-    return Trajectory(np.concatenate(times), np.concatenate(states), kind="stochastic",
-                      meta=meta)
+    records = Records(spec, x0, t_end, seed, thinning)
+    table = np.concatenate(list(records))
+    return Trajectory(table[:, 0], table[:, 1:], kind="stochastic", meta=records.meta)
 
 
 def ssa_sup_distance(

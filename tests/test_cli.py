@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import tdsim
-from tdsim import ode
+from tdsim import cli, jump, micro, ode
 from tdsim.analysis import REFERENCE_SAMPLE_DT
 from tdsim.cli import (
     MAX_GRID_POINTS,
@@ -22,6 +22,7 @@ from tdsim.cli import (
     read_dataset,
     write_dataset,
 )
+from tdsim.model import DensityState, LoopSpec
 
 
 def run(args):
@@ -80,6 +81,108 @@ class TestSimulate:
             density.read_text().splitlines()
         )
         assert len(lines) > 20
+
+    # J = 0.5 runs windows from N = 400 (|J| + 1) = 600 on, after the first
+    # 256 events; at N = 60 only the scalar loop runs.
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("level, thinning", [
+        ("density", 1), ("density", 7), ("density", None), ("micro", None)])
+    @pytest.mark.parametrize("N, t_end", [(60, 2.0), (2000, 0.15)])
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_streamed_rows_write_the_stored_path(self, k, N, t_end, level, thinning, fmt,
+                                                 tmp_path, monkeypatch):
+        """The rows stream in the sampler's tables, regrouped into 7-row
+        blocks, and give the bytes of the stored path written as one array."""
+        seed = 10 * k + N
+        x0 = ",".join(repr(round(0.2 + 0.6 * i / (k - 1), 2)) for i in range(k))
+        spec = LoopSpec.with_half_j(J=0.5, delta=0.3, N=N, k=k)
+        counts = [int(round(float(v) * N)) for v in x0.split(",")]
+        if level == "micro":
+            sigma0 = micro.SpinConfiguration.from_counts(spec, counts)
+            traj = micro.micro_simulate(spec, sigma0, t_end, seed)
+        else:
+            state0 = DensityState.from_counts(counts, N)
+            traj = jump.ssa_simulate(spec, state0, t_end, seed, thinning=thinning)
+        assert len(traj) > 3 * 7
+        assert (traj.meta["window_events"] > 0) == (N == 2000)
+        config = {"command": "simulate", "J": 0.5, "delta": 0.3,
+                  "kappa": ",".join(["0.25"] * k), "N": N, "k": k, "level": level,
+                  "t_end": t_end, "seed": seed, "x0": x0}
+        stored = tmp_path / f"stored.{fmt}"
+        write_dataset(str(stored), config, ["t", "x_A", "x_B", "x_C", "x_D", "x_E"][:k + 1],
+                      np.column_stack((traj.times, traj.states)), fmt)
+
+        monkeypatch.setattr(cli, "WRITE_BLOCK_ROWS", 7)
+        streamed = tmp_path / f"streamed.{fmt}"
+        argv = ["simulate", "--k", str(k), "--J", "0.5", "--delta", "0.3", "--N", str(N),
+                "--t-end", str(t_end), "--seed", str(seed), "--x0", x0, "--level", level,
+                "--format", fmt, "--out", str(streamed)]
+        if thinning is not None:
+            argv += ["--thinning", str(thinning)]
+        assert run(argv) == 0
+        assert streamed.read_bytes() == stored.read_bytes()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_long_run_holds_one_block_not_the_path(self, fmt, tmp_path):
+        # The bench's longest recorded run: 111 752 rows, 4.1 MB of CSV.  When
+        # the whole path was held before writing, the peak was 11.7 MiB
+        # (CSV) and 11.9 MiB (JSON).
+        out = tmp_path / f"long.{fmt}"
+        argv = ["simulate", "--J", "2.5", "--delta", "0", "--N", "1000", "--t-end", "25",
+                "--thinning", "1", "--seed", "1", "--format", fmt, "--out", str(out)]
+        tracemalloc.start()
+        try:
+            assert run(argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.stat().st_size > 4_000_000
+        assert peak < 6 << 20
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_sampler_error_leaves_no_file(self, fmt, tmp_path, monkeypatch, capsys):
+        real = jump._chunks
+
+        def failing(*args):
+            chunks = real(*args)
+            yield next(chunks)
+            yield next(chunks)
+            raise RuntimeError("sampler failed")
+
+        monkeypatch.setattr(jump, "_chunks", failing)
+        monkeypatch.setattr(cli, "WRITE_BLOCK_ROWS", 7)  # blocks go out before the error
+        out = tmp_path / f"run.{fmt}"
+        assert run(["simulate", "--N", "100", "--t-end", "5", "--thinning", "1",
+                    "--seed", "1", "--format", fmt, "--out", str(out)]) == 1
+        assert "sampler failed" in capsys.readouterr().err
+        assert not out.exists()
+
+    @staticmethod
+    def fail_after_first_block(monkeypatch):
+        real = cli._cell_blocks
+
+        def failing(rows, spell):
+            blocks = real(rows, spell)
+            yield next(blocks)
+            raise OSError("no space left")
+
+        monkeypatch.setattr(cli, "_cell_blocks", failing)
+        monkeypatch.setattr(cli, "WRITE_BLOCK_ROWS", 7)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_writer_error_leaves_no_file(self, fmt, tmp_path, monkeypatch):
+        self.fail_after_first_block(monkeypatch)
+        out = tmp_path / f"run.{fmt}"
+        assert run(["simulate", "--t-end", "1", "--seed", "1", "--format", fmt,
+                    "--out", str(out)]) == 1
+        assert not out.exists()
+
+    def test_writer_error_removes_no_device(self, monkeypatch):
+        self.fail_after_first_block(monkeypatch)
+        removed = []
+        monkeypatch.setattr(os, "remove", removed.append)
+        assert run(["simulate", "--t-end", "1", "--seed", "1", "--out", os.devnull]) == 1
+        assert removed == []
 
     def test_config_error_no_file(self, tmp_path):
         out = tmp_path / "never.csv"
@@ -473,7 +576,7 @@ class TestWriteDataset:
     def table():
         special = [-0.0, 0.0, float("nan"), float("inf"), float("-inf"), 5e-324,
                    0.1 + 0.2, 1e16, 0.5, 0.5, -1e-300, 2.0 / 3.0]
-        rows = WRITE_BLOCK_ROWS + 77  # crosses one block boundary
+        rows = 3 * WRITE_BLOCK_ROWS + 77  # crosses three block boundaries
         cols = [np.resize(np.array(special), rows),
                 np.resize(np.array(special[::-1]), rows),
                 np.arange(rows) / 7.0,
@@ -484,13 +587,20 @@ class TestWriteDataset:
     def test_array_and_float_rows_write_the_same_bytes(self, fmt, tmp_path):
         table = self.table()
         rows = [[float(v) for v in row] for row in table]
+        # Uneven tables: inside a block, straddling one, empty, wider than one.
+        sizes = [1, 300, WRITE_BLOCK_ROWS - 1, 0, WRITE_BLOCK_ROWS + 1]
+        pieces = np.split(table, np.cumsum(sizes))
+        assert [len(p) for p in pieces] == sizes + [len(table) - sum(sizes)]
         config = {"command": "simulate", "J": 1.0, "seed": 3}
         columns = ["t", "x_A", "x_B", "x_C"]
         from_array = tmp_path / f"array.{fmt}"
         from_rows = tmp_path / f"rows.{fmt}"
+        from_pieces = tmp_path / f"pieces.{fmt}"
         write_dataset(str(from_array), config, columns, table, fmt)
         write_dataset(str(from_rows), config, columns, rows, fmt)
+        write_dataset(str(from_pieces), config, columns, iter(pieces), fmt)
         assert from_array.read_bytes() == from_rows.read_bytes()
+        assert from_pieces.read_bytes() == from_rows.read_bytes()
         if fmt == "csv":
             lines = from_array.read_text().splitlines()
             assert len(lines) == 5 + len(table)

@@ -527,12 +527,16 @@ class TestSsaSimulate:
     def test_invalid_inputs(self):
         spec = LoopSpec.with_half_j(J=1.0, delta=0.5, N=10)
         x0 = DensityState.from_counts((5, 5, 5), 10)
-        with pytest.raises(ValueError):
-            ssa_simulate(spec, x0, float("inf"), seed=0)
-        with pytest.raises(ValueError):
-            ssa_simulate(spec, x0, 1.0, seed=0, thinning=0)
-        with pytest.raises(ValueError):
-            ssa_simulate(spec, DensityState.from_counts((5, 5), 10), 1.0, seed=0)
+        # Records checks its arguments when called, before any row is asked for.
+        for sample in (ssa_simulate, jump.Records):
+            with pytest.raises(ValueError):
+                sample(spec, x0, float("inf"), seed=0)
+            with pytest.raises(ValueError):
+                sample(spec, x0, 1.0, seed=0, thinning=0)
+            with pytest.raises(ValueError):
+                sample(spec, DensityState.from_counts((5, 5), 10), 1.0, seed=0)
+            with pytest.raises(ValueError):
+                sample(spec, DensityState.from_counts((5, 5, 5), 20), 1.0, seed=0)
 
 
 class TestDirectStep:
