@@ -25,6 +25,7 @@ import math
 import os
 import secrets
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -102,6 +103,14 @@ def _build_spec(args) -> LoopSpec:
     kappa = _resolve_kappa(args.kappa, args.J, args.k)
     try:
         return LoopSpec(J=args.J, delta=args.delta, kappa=kappa, N=args.N, k=args.k)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
+def _check_rates(spec: LoopSpec):
+    """The sampler's rate range, before any event is drawn."""
+    try:
+        jump._check_rates(spec)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -312,6 +321,7 @@ def _path_columns(k: int) -> list[str]:
 
 def cmd_simulate(args) -> int:
     spec = _build_spec(args)
+    _check_rates(spec)
     _check_t_end(args.t_end)
     if args.thinning is not None and args.thinning < 1:
         raise ConfigError("thinning: must be >= 1")
@@ -417,6 +427,8 @@ def cmd_converge(args) -> int:
     seed = _resolve_seed(args)
     args.N = args.N_list[0]  # base spec; the sweep replaces N per entry
     base = _build_spec(args)
+    for N in args.N_list:
+        _check_rates(replace(base, N=N))
     x0 = _parse_x0(args, base.k)
     result = analysis.convergence_experiment(
         base, args.N_list, np.array(x0), args.t_end, args.replicas, seed

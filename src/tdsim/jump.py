@@ -8,26 +8,29 @@ then pick the channel in proportion to its rate.  This generates the same
 process law as the random-time-change construction with one Poisson clock
 per jump direction; the direct method is simply the cheaper sampler.
 
-One loop serves every k, one window of variates at a time: numpy guesses
-every event's channel from the window's first state and sweeps until the
-guessed states stop changing, then every settled event is recomputed with
-the scalar arithmetic (:func:`tdsim.model._exponents` and
-:func:`tdsim.model._exact_exps`), and the window is cut at the first
-channel the guess got wrong.  The guess's exponential, numpy's, is the
-only one in the package not taken with ``math.exp``; it decides no output
-bit.  Where windows do not settle quickly (small N, strong coupling), a
-scalar loop runs instead (unrolled for k = 3); an event moves one type, so
-only the two exponents that read its count are recomputed (the
-dependency-graph idea of Gibson & Bruck, J. Phys. Chem. A 104, 2000).  Both
-take their constants from :func:`tdsim.model.exponent_terms` and read
-their variates from :func:`_variates`.  :func:`_chunks` runs them and hands
-out the path one window or scalar run at a time: the counts before each
-event, the event times and the counts after the chunk.  It has two
-consumers, and neither stores the path: :class:`Records` turns every
-``thinning``-th state of each chunk into a table of rows, which ``tdsim
-simulate`` writes out as they come and :func:`ssa_simulate` concatenates
-into a :class:`~tdsim.trajectory.Trajectory`; :func:`ssa_sup_distance`
-folds each chunk into the sup-distance to a deterministic path.  The
+Every loop computes the rates in the factor form of
+:func:`tdsim.model.rate_factors`: each count contributes four factors, one
+``math.exp`` each, to the rates that read it.  One loop serves every k, one
+window of variates at a time: numpy guesses every event's channel from the
+window's first state and sweeps until the guessed states stop changing,
+then every settled event is recomputed with the scalar arithmetic, from
+factor tables over each count's range in the window, and the window is cut
+at the first channel the guess got wrong.  The guess's exponential,
+numpy's, is the only one in the package not taken with ``math.exp``; it
+decides no output bit.  Where windows do not settle quickly (small N,
+strong coupling), a scalar loop runs instead (unrolled for k = 3); an event
+moves one type, so only the four factors of its count and the rates that
+read them are recomputed (the dependency-graph idea of Gibson & Bruck, J.
+Phys. Chem. A 104, 2000).  Both read their variates from :func:`_variates`.
+:func:`_chunks` runs them and hands out the path one window or scalar run
+at a time: the counts before each event, the event times and the counts
+after the chunk.  It has two consumers, and neither stores the path:
+:class:`Records` turns every ``thinning``-th state of each chunk into a
+table of rows, which ``tdsim simulate`` writes out as they come and
+:func:`ssa_simulate` concatenates into a
+:class:`~tdsim.trajectory.Trajectory`; :func:`ssa_sup_distance` folds each
+chunk into the sup-distance to a deterministic path.  Both refuse, before
+drawing any event, a spec whose total rate could overflow a double.  The
 per-site sampler :func:`tdsim.micro.micro_simulate` runs on
 :func:`ssa_simulate`.
 
@@ -40,13 +43,14 @@ order.
 from __future__ import annotations
 
 import math
+import sys
 from array import array
 from bisect import bisect_right
 from itertools import accumulate
 
 import numpy as np
 
-from .model import DensityState, LoopSpec, _exact_exps, _exponents, exponent_terms
+from .model import DensityState, LoopSpec, count_factors, exponent_terms, rate_factors
 from .trajectory import Trajectory
 
 __all__ = ["Records", "ssa_simulate", "ssa_sup_distance", "sup_distance", "derive_seed"]
@@ -86,27 +90,31 @@ def _variates(rng: np.random.Generator, blocks: list):
 
 def _scalar(spec, n, t, t_end, pairs, record, when):
     """Scalar loop over ``pairs`` for any k, from counts n at time t: the
-    running sums of the 2k rates are added one at a time, the total is the
-    last, and the channel is the first above u * total.  Passes each event's
-    channel to ``record`` and its time to ``when``.  Returns (counts, t,
-    stopped), where stopped means t_end was reached."""
+    rates of :func:`tdsim.model.rate_factors`, their running sums added one
+    at a time, the total the last, and the channel the first above u *
+    total.  Passes each event's channel to ``record`` and its time to
+    ``when``.  Returns (counts, t, stopped), where stopped means t_end was
+    reached."""
     N = spec.N
     invN = 1.0 / N
-    dJ, hJ, types = exponent_terms(spec)
+    cA, cH, types = rate_factors(spec)
+    nA, nH = -cA, -cH
     k = spec.k
     last = 2 * k - 1
     exp = math.exp
     n = list(n)
+    # Each count's four factors, exp(cA y), exp(-cA y), exp(cH y), exp(-cH y).
+    aup, adn, hup, hdn = (f.tolist() for f in count_factors(cA, cH, np.array(n) * invN))
     grow, shrink, rates = [0.0] * k, [0.0] * k, [0.0] * (2 * k)
-    # Each entry (i, a(i), h(i), kappa_i, 2i) names a type whose exponent is
-    # due; at first every type's, after type j moved the two that read n[j].
-    fresh = [(i, a, h, kap, 2 * i) for i, (a, h, kap) in enumerate(types)]
+    # Each entry (i, a(i), h(i), e^{2 kappa_i}, e^{-2 kappa_i}, 2i) names a
+    # type whose products are due; at first every type's, after type j
+    # moved the two that read n[j].
+    fresh = [(i, a, h, ku, kd, 2 * i) for i, (a, h, ku, kd) in enumerate(types)]
     readers = [[fresh[i] for i in sorted({(j + 1) % k, (j - 1) % k})] for j in range(k)]
     for e, u in pairs:
-        for i, a, h, kap, c in fresh:
-            x = 2.0 * (-dJ * (n[a] * invN) - hJ * (n[h] * invN) + kap)
-            grow[i] = p = exp(x)
-            shrink[i] = q = exp(-x)
+        for i, a, h, ku, kd, c in fresh:
+            grow[i] = p = (ku * aup[a]) * hup[h]
+            shrink[i] = q = (kd * adn[a]) * hdn[h]
             rates[c] = (N - n[i]) * p
             rates[c + 1] = n[i] * q
         cum = list(accumulate(rates))
@@ -117,6 +125,8 @@ def _scalar(spec, n, t, t_end, pairs, record, when):
         chosen = bisect_right(cum, u * tot, 0, last)
         j = chosen >> 1
         n[j] += -1 if chosen & 1 else 1
+        y = n[j] * invN
+        aup[j], adn[j], hup[j], hdn[j] = exp(cA * y), exp(nA * y), exp(cH * y), exp(nH * y)
         rates[2 * j] = (N - n[j]) * grow[j]
         rates[2 * j + 1] = n[j] * shrink[j]
         fresh = readers[j]
@@ -127,26 +137,29 @@ def _scalar(spec, n, t, t_end, pairs, record, when):
 
 
 def _scalar_3(spec, n, t, t_end, pairs, record, when):
-    """:func:`_scalar` unrolled for three types, with the same bits."""
+    """:func:`_scalar` unrolled for three types, with the same bits.  Type
+    0 reads counts 2 and 1, type 1 counts 0 and 2, type 2 counts 1 and 0."""
     N = spec.N
     invN = 1.0 / N
-    dJ, hJ, ((_, _, k0), (_, _, k1), (_, _, k2)) = exponent_terms(spec)
+    cA, cH, ((_, _, K0, L0), (_, _, K1, L1), (_, _, K2, L2)) = rate_factors(spec)
+    nA, nH = -cA, -cH
     exp = math.exp
     n0, n1, n2 = n
+    # Count j's factors: aj = exp(cA y_j), bj = exp(-cA y_j), hj = exp(cH y_j),
+    # gj = exp(-cH y_j).
+    (a0, a1, a2), (b0, b1, b2), (h0, h1, h2), (g0, g1, g2) = (
+        f.tolist() for f in count_factors(cA, cH, np.array(n) * invN))
     moved = -1
     for e, u in pairs:
         if moved != 0:
-            e0 = 2.0 * (-dJ * (n2 * invN) - hJ * (n1 * invN) + k0)
-            p0 = exp(e0)
-            m0 = exp(-e0)
+            p0 = (K0 * a2) * h1
+            m0 = (L0 * b2) * g1
         if moved != 1:
-            e1 = 2.0 * (-dJ * (n0 * invN) - hJ * (n2 * invN) + k1)
-            p1 = exp(e1)
-            m1 = exp(-e1)
+            p1 = (K1 * a0) * h2
+            m1 = (L1 * b0) * g2
         if moved != 2:
-            e2 = 2.0 * (-dJ * (n1 * invN) - hJ * (n0 * invN) + k2)
-            p2 = exp(e2)
-            m2 = exp(-e2)
+            p2 = (K2 * a1) * h0
+            m2 = (L2 * b1) * g0
         u0 = (N - n0) * p0
         d0 = n0 * m0
         u1 = (N - n1) * p1
@@ -161,31 +174,39 @@ def _scalar_3(spec, n, t, t_end, pairs, record, when):
         t_next = t + e / tot
         if t_next >= t_end:
             return [n0, n1, n2], t, True
+        # The first running sum above v, as a chain of tests would find it:
+        # the sums do not decrease.
         v = u * tot
-        if v < u0:
-            n0 += 1
+        if v < s1:
+            if v < u0:
+                n0 += 1
+                record(0)
+            else:
+                n0 -= 1
+                record(1)
+            y = n0 * invN
+            a0, b0, h0, g0 = exp(cA * y), exp(nA * y), exp(cH * y), exp(nH * y)
             moved = 0
-            record(0)
-        elif v < s1:
-            n0 -= 1
-            moved = 0
-            record(1)
-        elif v < s2:
-            n1 += 1
-            moved = 1
-            record(2)
         elif v < s3:
-            n1 -= 1
+            if v < s2:
+                n1 += 1
+                record(2)
+            else:
+                n1 -= 1
+                record(3)
+            y = n1 * invN
+            a1, b1, h1, g1 = exp(cA * y), exp(nA * y), exp(cH * y), exp(nH * y)
             moved = 1
-            record(3)
-        elif v < s4:
-            n2 += 1
-            moved = 2
-            record(4)
         else:
-            n2 -= 1
+            if v < s4:
+                n2 += 1
+                record(4)
+            else:
+                n2 -= 1
+                record(5)
+            y = n2 * invN
+            a2, b2, h2, g2 = exp(cA * y), exp(nA * y), exp(cH * y), exp(nH * y)
             moved = 2
-            record(5)
         t = t_next
         when(t)
     return [n0, n1, n2], t, False
@@ -241,20 +262,23 @@ class _Kernels:
 
     def __init__(self, spec: LoopSpec):
         k = spec.k
-        self.spec = spec
         dJ, hJ, types = exponent_terms(spec)
         a, h, kappa = zip(*types)
+        self.a, self.h = list(a), list(h)
         self.moves = _moves(k)
         self.N = spec.N
         self.invN = 1.0 / spec.N
         # The guess's exponents as one affine map of the counts: fewer numpy
-        # calls than model._exponents, and rounded differently, which only
-        # the guess may be.  For k = 2, a[i] and h[i] are one type, whose
-        # two weights add.
+        # calls than the factors, and rounded differently, which only the
+        # guess may be.  For k = 2, a[i] and h[i] are one type, whose two
+        # weights add.
         self.intercept = 2.0 * np.array(kappa)[:, None]
         self.slope = np.zeros((k, k))
         self.slope[range(k), a] = -2.0 * dJ * self.invN
         self.slope[range(k), h] += -2.0 * hJ * self.invN
+        self.cA, self.cH, factors = rate_factors(spec)
+        _, _, up, down = zip(*factors)
+        self.kup, self.kdown = np.array(up)[:, None], np.array(down)[:, None]
 
     def select(self, G, U, grow, shrink):
         """(channels, totals) at the count columns G (k, m) from each type's
@@ -276,10 +300,22 @@ class _Kernels:
 
     def exact(self, G, U):
         """(channels, totals) at the count columns G, bit for bit those of
-        the scalar loop: its exponents, from :func:`tdsim.model._exponents`
-        at densities G / N, and their :func:`tdsim.model._exact_exps`."""
-        x = _exponents(self.spec, (G * self.invN).T).T
-        return self.select(G, U, *_exact_exps(x))
+        the scalar loop: each count row's four factors, from
+        :func:`tdsim.model.count_factors` once per count between the row's
+        least and greatest value, multiplied in the scalar loop's order."""
+        lo = G.min(axis=1).astype(int)
+        size = G.max(axis=1).astype(int) - lo + 1
+        start = np.cumsum(size) - size
+        counts = np.concatenate([np.arange(b, b + s) for b, s in zip(lo.tolist(), size.tolist())])
+        aup, adn, hup, hdn = count_factors(self.cA, self.cH, counts * self.invN)
+        # Row j's value n sits at start[j] + n - lo[j] of the tables.
+        where = (G + (start - lo)[:, None]).astype(np.intp)
+        at_a, at_h = where[self.a], where[self.h]
+        grow = self.kup * np.take(aup, at_a)
+        grow *= np.take(hup, at_h)
+        shrink = self.kdown * np.take(adn, at_a)
+        shrink *= np.take(hdn, at_h)
+        return self.select(G, U, grow, shrink)
 
 
 def _window(kernels, n, t, t_end, E, U):
@@ -384,8 +420,19 @@ def _before(moves, n, channels):
     return G
 
 
+def _check_rates(spec):
+    """Raises a ValueError naming N where the total jump rate could overflow
+    a double: each of the 2k rates is at most N e^{2 (|J| + max |kappa_i|)}."""
+    bound = 2 * spec.k * spec.N * math.exp(2.0 * (abs(spec.J) + max(map(abs, spec.kappa))))
+    if bound > sys.float_info.max:
+        raise ValueError(f"N: at N = {spec.N} the total jump rate, up to "
+                         f"2k N exp(2 (|J| + max|kappa|)), overflows a double")
+
+
 def _start_counts(spec, x0, t_end):
-    """The counts of x0 after checking it and t_end against the spec."""
+    """The counts of x0 after checking it, t_end and the rates' range
+    against the spec."""
+    _check_rates(spec)
     if not math.isfinite(t_end) or t_end < 0:
         raise ValueError(f"t_end must be finite and non-negative, got {t_end!r}")
     if not isinstance(x0, DensityState):

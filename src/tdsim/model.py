@@ -11,11 +11,17 @@ neighbour (weight 1 - delta), plus a per-type field kappa_i:
     rate_down = exp(-2 [ -delta*J*x_a - (1-delta)*J*x_h + kappa_i ])
 
 Everything downstream (the density jump process, the fluid-limit vector
-field and its Jacobian) is built from these two expressions, with the
-constants of :func:`exponent_terms`.  Every exponential is a ``math.exp``:
-the numpy functions take theirs from :func:`_exact_exps`, and the scalar
-fields and sampler loops call it directly, so no rate bit follows numpy's
-exp kernel.
+field and its Jacobian) is built from these two expressions.  The fluid
+limit takes continuous densities and computes the exponent, with the
+constants of :func:`exponent_terms`.  The sampler lives on the count grid,
+where the exponential splits into one factor per count
+(:func:`rate_factors`): a count gives the same four factors to both rates
+that read it, so the scalar loops take four exponentials per event and the
+windows four per count value they visit, not two per rate.  Every
+exponential is a ``math.exp``: the numpy rates take theirs from
+:func:`_exact_exps`, the windows from :func:`count_factors`, and the scalar
+fields and loops call it directly, so no rate bit follows numpy's exp
+kernel.
 """
 from __future__ import annotations
 
@@ -144,10 +150,40 @@ def _as_density_array(x) -> np.ndarray:
 def exponent_terms(spec: LoopSpec):
     """(dJ, hJ, types) = (delta J, (1 - delta) J, ((a(i), h(i), kappa_i), ...)):
     type i's exponent at densities y is ``2.0 * (-dJ * y[a] - hJ * y[h] +
-    kappa_i)``, as every sampler loop and fluid-limit field computes it."""
+    kappa_i)``, as every fluid-limit field and numpy rate computes it.  The
+    sampler loops take the same constants in factor form, from
+    :func:`rate_factors`."""
     types = tuple((spec.anticlockwise(i), spec.clockwise(i), kap)
                   for i, kap in enumerate(spec.kappa))
     return spec.delta * spec.J, (1.0 - spec.delta) * spec.J, types
+
+
+def rate_factors(spec: LoopSpec):
+    """(cA, cH, types) = (-2 dJ, -2 hJ, ((a(i), h(i), e^{2 kappa_i},
+    e^{-2 kappa_i}), ...)) with dJ, hJ from :func:`exponent_terms`: the
+    sampler's jump intensities in factor form.
+
+    With counts n and y = n * (1 / N), type i jumps up at rate
+    ``(N - n_i) * ((exp(2 kappa_i) * exp(cA * y_a)) * exp(cH * y_h))`` and
+    down at rate ``n_i * ((exp(-2 kappa_i) * exp(-cA * y_a)) * exp(-cH *
+    y_h))``, with the products taken in that order; every sampler loop
+    computes them so.  Each factor reads one count, so a count's four
+    factors (:func:`count_factors`) serve both rates that read it.  The
+    rates are N times :func:`channel_rates` at x = n / N, rounded
+    differently.
+    """
+    dJ, hJ, types = exponent_terms(spec)
+    return -2.0 * dJ, -2.0 * hJ, tuple((a, h, math.exp(2.0 * kap), math.exp(-2.0 * kap))
+                                       for a, h, kap in types)
+
+
+def count_factors(cA: float, cH: float, y: np.ndarray) -> list[np.ndarray]:
+    """The four factor arrays ``exp(cA * y), exp(-cA * y), exp(cH * y),
+    exp(-cH * y)`` of the density array y, one ``math.exp`` per value, each
+    result going straight into its array; for y in [0, 1] none overflows,
+    since |cA| + |cH| = 2 |J| <= :data:`MAX_EXPONENT`."""
+    return [np.fromiter(map(math.exp, (c * y).tolist()), float, len(y))
+            for c in (cA, -cA, cH, -cH)]
 
 
 def _exponents(spec: LoopSpec, x: np.ndarray) -> np.ndarray:
@@ -172,10 +208,11 @@ def _inf_exp(v):
 
 def _exact_exps(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(exp(x), exp(-x)) for an exponent array, the only exponential of the
-    numpy code paths.  ``math.exp`` is called once per distinct value, so
-    every bit is that of the scalar loops and none follows numpy's exp
-    kernel (which differs by an ulp on some inputs); where it overflows, the
-    values are recomputed degrading to inf."""
+    numpy rates of continuous densities (:func:`channel_rates`,
+    :func:`jacobian`, the micro rates).  ``math.exp`` is called once per
+    distinct value, so every bit is that of :func:`field_closure` and none
+    follows numpy's exp kernel (which differs by an ulp on some inputs);
+    where it overflows, the values are recomputed degrading to inf."""
     values, where = np.unique(x, return_inverse=True)
     values = values.tolist()
     try:

@@ -184,6 +184,21 @@ class TestSimulate:
         assert run(["simulate", "--t-end", "1", "--seed", "1", "--out", os.devnull]) == 1
         assert removed == []
 
+    def test_largest_rates_below_overflow_still_sample(self, tmp_path):
+        # At N = 1000, 6 N e^698 is a double.  Type A's up-rate (N - n_A)
+        # e^698 outweighs every other, so each event raises x_A.
+        out = tmp_path / "run.csv"
+        argv = ["simulate", "--J", "-349", "--delta", "0.5", "--kappa", "0", "--N", "1000",
+                "--x0", "0.5,1,1", "--t-end", "1e-300", "--seed", "1", "--thinning", "1"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(argv + ["--out", str(out)]) == 0
+        states = np.array(read_dataset(str(out))[2], dtype=float)[:, 1:]
+        # The t = 0 row, 500 events and the t_end row.
+        assert len(states) == 502
+        assert np.all(np.diff(states[:-1, 0]) > 0) and states[-1, 0] == 1.0
+        assert np.all(states[:, 1:] == 1.0)
+
     def test_config_error_no_file(self, tmp_path):
         out = tmp_path / "never.csv"
         code = run(
@@ -458,6 +473,12 @@ class TestConfigErrors:
              None, "thinning"),
             (["converge", "--seed", "1", "--N", "100", "--N", "100"], None, "N"),
             (["simulate", "--seed", "1", "--kappa", "0.1,0.2"], None, "kappa"),
+            # A total jump rate up to 6 N e^698 overflows a double at N = 1e6,
+            # checked for every N before any sample is drawn.
+            (["simulate", "--J", "-349", "--delta", "0.5", "--kappa", "0", "--N", "1000000",
+              "--x0", "0.5,1,1", "--t-end", "1e-300", "--seed", "1"], None, "N"),
+            (["converge", "--J", "-349", "--delta", "0.5", "--kappa", "0", "--N", "1000",
+              "--N", "1000000", "--t-end", "1e-3", "--seed", "1"], None, "N"),
         ],
     )
     def test_exits_2_naming_the_field(self, argv, env, field, tmp_path, monkeypatch, capsys):

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tdsim import jump, ode
+from tdsim import jump, model, ode
 from tdsim.jump import default_thinning, ssa_simulate, ssa_sup_distance, sup_distance
 from tdsim.micro import density_generator
 from tdsim.model import DensityState, LoopSpec, channel_rates, vector_field
@@ -26,21 +26,25 @@ def birth_death_stationary_mean(N):
 
 
 def reference_step(spec):
-    """The samplers' arithmetic, every exponent at every event: type i's
-    exponent 2 (-dJ (n_a * invN) - hJ (n_h * invN) + kappa_i), the running
-    sums of the 2k rates added one by one, the total the last of them, and
-    the channel the first whose running sum exceeds u * total."""
+    """The samplers' arithmetic, every factor at every event: with y = n *
+    invN, type i's up-rate (N - n_i) ((e^{2 kappa_i} e^{cA y_a}) e^{cH y_h})
+    and down-rate n_i ((e^{-2 kappa_i} e^{-cA y_a}) e^{-cH y_h}), where cA =
+    -2 delta J and cH = -2 (1 - delta) J; the running sums of the 2k rates
+    added one by one, the total the last of them, and the channel the first
+    whose running sum exceeds u * total."""
     N = spec.N
     invN = 1.0 / N
-    dJ = spec.delta * spec.J
-    hJ = (1.0 - spec.delta) * spec.J
+    cA = -2.0 * (spec.delta * spec.J)
+    cH = -2.0 * ((1.0 - spec.delta) * spec.J)
     types = [(i, (i - 1) % spec.k, (i + 1) % spec.k, kap) for i, kap in enumerate(spec.kappa)]
 
     def step(n, e, u):
         rates = []
         for i, a, h, kap in types:
-            x = 2.0 * (-dJ * (n[a] * invN) - hJ * (n[h] * invN) + kap)
-            rates += [(N - n[i]) * math.exp(x), n[i] * math.exp(-x)]
+            ya, yh = n[a] * invN, n[h] * invN
+            up = (math.exp(2.0 * kap) * math.exp(cA * ya)) * math.exp(cH * yh)
+            down = (math.exp(-2.0 * kap) * math.exp(-cA * ya)) * math.exp(-cH * yh)
+            rates += [(N - n[i]) * up, n[i] * down]
         tot = rates[0]
         for r in rates[1:]:
             tot += r
@@ -292,6 +296,38 @@ class TestWindowedLoop:
         assert np.any(np.diff(traj.states[:, -1]) != 0)  # the last type's channels fired
         assert_same_path(traj, spec, x0, 0.05, 8)
 
+    @pytest.mark.parametrize("delta", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_windows_write_the_scalar_loops_bytes(self, monkeypatch, k, delta):
+        # delta = 0 and delta = 1 make one factor of every rate e^0, and at
+        # k = 2 both factors of a rate read the one other count.
+        spec = LoopSpec.with_half_j(J=1.0, delta=delta, N=10_000, k=k)
+        x0 = DensityState.from_counts(spread_counts(k, 10_000), 10_000)
+        t_end = 21_000.0 / (k * spec.N)
+        windowed = ssa_simulate(spec, x0, t_end, seed=k, thinning=1)
+        monkeypatch.setattr(jump, "_SETTLE_N", math.inf)
+        scalar = ssa_simulate(spec, x0, t_end, seed=k, thinning=1)
+        assert windowed.meta["window_events"] > 0.9 * windowed.meta["events"]
+        assert scalar.meta["window_events"] == 0
+        for key in ("events", "rng_blocks"):
+            assert windowed.meta[key] == scalar.meta[key]
+        assert windowed.times.tobytes() == scalar.times.tobytes()
+        assert windowed.states.tobytes() == scalar.states.tobytes()
+
+    def test_exact_pass_takes_no_sort_of_exponents(self, monkeypatch):
+        # The windows' exact pass reads each count's factors from tables over
+        # the count's range, so neither the exponent kernel nor a sort runs.
+        def never(*args, **kwargs):
+            raise AssertionError("called on the sampler path")
+
+        monkeypatch.setattr(model, "_exact_exps", never)
+        monkeypatch.setattr(np, "unique", never)
+        for k in (3, 5):
+            spec = LoopSpec.with_half_j(J=1.0, delta=0.3, N=10_000, k=k)
+            x0 = DensityState.from_counts(spread_counts(k, 10_000), 10_000)
+            traj = ssa_simulate(spec, x0, 1.0, seed=4)
+            assert traj.meta["window_events"] > 0.9 * traj.meta["events"]
+
     def test_counters_show_where_windows_run(self):
         # Large N: rates barely move within a window, which settles in a few
         # sweeps, at any k.  N = 100 at J = 2.5: windows would not settle,
@@ -537,6 +573,18 @@ class TestSsaSimulate:
                 sample(spec, DensityState.from_counts((5, 5), 10), 1.0, seed=0)
             with pytest.raises(ValueError):
                 sample(spec, DensityState.from_counts((5, 5, 5), 20), 1.0, seed=0)
+
+    def test_rates_that_could_overflow_are_refused(self):
+        # 6 N e^698 passes the largest double at N = 1e6.  An infinite
+        # total would put every event at t = 0 on the last channel.
+        x0 = (0.5, 1.0, 1.0)
+        spec = LoopSpec(J=-349.0, delta=0.5, kappa=(0.0,) * 3, N=1_000_000)
+        start = DensityState(x0, grid=spec.N)
+        ref = Trajectory(np.array([0.0, 1.0]), np.array([x0, x0]), kind="deterministic")
+        for run in (lambda: jump.Records(spec, start, 1e-300, seed=1),
+                    lambda: ssa_sup_distance(spec, start, ref, 1e-300, seed=1)):
+            with pytest.raises(ValueError, match="N: at N = 1000000"):
+                run()
 
 
 class TestDirectStep:
