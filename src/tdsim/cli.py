@@ -108,7 +108,7 @@ def _build_spec(args) -> LoopSpec:
 
 
 def _check_rates(spec: LoopSpec):
-    """The sampler's rate range, before any event is drawn."""
+    """The sampler's range of N and of rates, before any event is drawn."""
     try:
         jump._check_rates(spec)
     except ValueError as exc:
@@ -448,8 +448,8 @@ def _validate_checks(spec: LoopSpec, seed: int):
     """Run the verification battery; yields (name, residual, threshold, status)."""
     rng = jump._stream(seed)
     # Both exact micro checks enumerate configurations; the generator check
-    # stops at the dense generator's limit, and the residual at the
-    # configuration needs the k = 3 coupling table.
+    # stops at the dense generator's limit, the residual at the enumeration
+    # guard.
     enumerable = spec.k * spec.N <= micro.ENUMERATION_LIMIT
     if spec.k * spec.N <= micro.GENERATOR_LIMIT:
         # The difference and its abs are taken in place, so no third or
@@ -467,9 +467,7 @@ def _validate_checks(spec: LoopSpec, seed: int):
     zero_spec = LoopSpec(J=0.0, delta=spec.delta, kappa=(0.0,) * 3, N=min(spec.N, 2), k=3)
     yield "reversibility residual at J=0", micro.reversibility_residual(zero_spec), 1e-12, None
 
-    if spec.k != 3:
-        yield "reversibility residual at config", None, None, "skipped (k != 3)"
-    elif not enumerable:
+    if not enumerable:
         yield "reversibility residual at config", None, None, "skipped (k*N > 20)"
     else:
         res = micro.reversibility_residual(spec)

@@ -30,7 +30,8 @@ table of rows, which ``tdsim simulate`` writes out as they come and
 :func:`ssa_simulate` concatenates into a
 :class:`~tdsim.trajectory.Trajectory`; :func:`ssa_sup_distance` folds each
 chunk into the sup-distance to a deterministic path.  Both refuse, before
-drawing any event, a spec whose total rate could overflow a double.  The
+drawing any event, a spec whose total rate could overflow a double or whose
+N is above 2^53, where counts held as doubles are no longer exact.  The
 per-site sampler :func:`tdsim.micro.micro_simulate` runs on
 :func:`ssa_simulate`.
 
@@ -421,8 +422,13 @@ def _before(moves, n, channels):
 
 
 def _check_rates(spec):
-    """Raises a ValueError naming N where the total jump rate could overflow
-    a double: each of the 2k rates is at most N e^{2 (|J| + max |kappa_i|)}."""
+    """Raises a ValueError naming N where a count could leave the doubles'
+    exact integers (N above 2^53: windows and recorded rows hold counts as
+    floats) or the total jump rate could overflow a double: each of the 2k
+    rates is at most N e^{2 (|J| + max |kappa_i|)}."""
+    if spec.N > 2**53:
+        raise ValueError(f"N: at N = {spec.N} the counts, held as doubles, "
+                         f"are not exact above 2**53")
     bound = 2 * spec.k * spec.N * math.exp(2.0 * (abs(spec.J) + max(map(abs, spec.kappa))))
     if bound > sys.float_info.max:
         raise ValueError(f"N: at N = {spec.N} the total jump rate, up to "

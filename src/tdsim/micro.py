@@ -4,12 +4,14 @@ Sites live on a k x N lattice (type, position) with spins in {-1, +1}.  The
 interaction is mean-field: a +1 spin of type j pushes every site of its
 clockwise neighbour type with weight -delta*J*b/N and of its anticlockwise
 neighbour with weight -(1-delta)*J*b/N (b the receiving spin); pairs of
-equal type contribute the field kappa regardless of spin states.  With that
-coupling table the kappa part of the energy is a configuration-independent
-constant, so it drops out of every energy difference while kappa still
-enters the flip rates directly; the per-spin dynamics is therefore not
-reversible with respect to the Gibbs measure, which
-:func:`reversibility_residual` quantifies by exact enumeration.
+equal type contribute the field kappa regardless of spin states.  The table
+holds for every k >= 2; at k = 2 both neighbours of a type are the other
+type, whose two weights add up to -J*b/N.  With that coupling table the
+kappa part of the energy is a configuration-independent constant, so it
+drops out of every energy difference while kappa still enters the flip
+rates directly; the per-spin dynamics is therefore not reversible with
+respect to the Gibbs measure, which :func:`reversibility_residual`
+quantifies by exact enumeration.
 
 Note the energy double sum runs over all ordered site pairs including the
 diagonal pair; excluding the diagonal would only shift the energy by
@@ -97,11 +99,6 @@ class SpinConfiguration:
         return np.sum(self.spins == 1, axis=1)
 
 
-def _require_clock(spec: LoopSpec):
-    if spec.k != 3:
-        raise ValueError("the coupling table is defined for the 3-type cycle only")
-
-
 def _require_enumerable(spec: LoopSpec):
     if spec.k * spec.N > ENUMERATION_LIMIT:
         raise ValueError(
@@ -117,13 +114,12 @@ def _require_dense_generator(spec: LoopSpec):
 
 
 def hamiltonian(config: SpinConfiguration) -> float:
-    """Total interaction energy of a configuration (k = 3 only).
+    """Total interaction energy of a configuration.
 
     Computed through per-type counts; identical to the double sum over all
     ordered site pairs of the coupling table divided by N.  The kappa part
     is the constant -N * sum(kappa).
     """
-    _require_clock(config.spec)
     return float(_energy(config.spec, config.counts()))
 
 
@@ -154,9 +150,8 @@ def gibbs_measure(spec: LoopSpec) -> np.ndarray:
     """Gibbs probabilities exp(-H)/Z over all 2^(kN) configurations.
 
     Configuration c is indexed by its bitmask: bit (i*N + n) set means site
-    (i, n) is +1.  Requires k = 3 and k*N <= 20.
+    (i, n) is +1.  Requires k*N <= 20.
     """
-    _require_clock(spec)
     _require_enumerable(spec)
     idx = np.arange(1 << (spec.k * spec.N), dtype=np.int64)
     h = _energy(spec, _config_counts(spec, idx))
@@ -275,7 +270,6 @@ def reversibility_residual(spec: LoopSpec) -> float:
     Zero would mean detailed balance of the flip dynamics with respect to
     the Gibbs measure; the type-dependent rates generically break it.
     """
-    _require_clock(spec)
     _require_enumerable(spec)
     mu = gibbs_measure(spec)
     idx, up, down = _site_rates(spec)

@@ -398,8 +398,7 @@ class TestValidate:
         assert "skipped" in statuses["micro-macro generator equivalence"]
 
     def test_generator_check_runs_for_k_other_than_3(self, tmp_path):
-        # k*N = 8 is within the enumeration guard; only the residual at the
-        # configuration needs the k = 3 coupling table.
+        # k*N = 8 is within both guards, so the whole battery runs at k = 4.
         out = tmp_path / "validate.csv"
         code = run(["validate", "--k", "4", "--N", "2", "--seed", "2", "--out", str(out)])
         assert code == 0
@@ -408,9 +407,9 @@ class TestValidate:
         _, residual, threshold, status = by_name["micro-macro generator equivalence"]
         assert status == "pass"
         assert threshold == 1e-12 and residual < 1e-12
-        assert by_name["reversibility residual at config"][3] == "skipped (k != 3)"
-        skipped = [row[0] for row in rows if row[3].startswith("skipped")]
-        assert skipped == ["reversibility residual at config"]
+        _, residual, _, status = by_name["reversibility residual at config"]
+        assert status == f"info ({residual:.3e})" and residual > 0
+        assert not [row[0] for row in rows if row[3].startswith("skipped")]
 
     @pytest.mark.parametrize("args", [["--k", "10"], ["--N", "5"]])
     def test_generator_check_skipped_above_dense_limit(self, tmp_path, args):
@@ -479,6 +478,10 @@ class TestConfigErrors:
               "--x0", "0.5,1,1", "--t-end", "1e-300", "--seed", "1"], None, "N"),
             (["converge", "--J", "-349", "--delta", "0.5", "--kappa", "0", "--N", "1000",
               "--N", "1000000", "--t-end", "1e-3", "--seed", "1"], None, "N"),
+            # Counts held as doubles are exact only up to 2^53.
+            (["simulate", "--seed", "1", "--N", str(2**53 + 1), "--t-end", "2e-14"], None, "N"),
+            (["converge", "--seed", "1", "--N", "50", "--N", str(2**53 + 1), "--t-end", "1"],
+             None, "N"),
         ],
     )
     def test_exits_2_naming_the_field(self, argv, env, field, tmp_path, monkeypatch, capsys):

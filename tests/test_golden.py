@@ -101,6 +101,9 @@ CASES = {
     "validate_N20.csv": [
         "validate", "--J", "2.5", "--delta", "0.1", "--N", "20", "--seed", "4",
     ],
+    "validate_k4.csv": [
+        "validate", "--k", "4", "--N", "2", "--J", "1.2", "--delta", "0.3", "--seed", "3",
+    ],
 }
 
 

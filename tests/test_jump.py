@@ -586,6 +586,19 @@ class TestSsaSimulate:
             with pytest.raises(ValueError, match="N: at N = 1000000"):
                 run()
 
+    def test_counts_beyond_exact_doubles_are_refused(self):
+        # Windows and recorded rows hold counts as doubles, exact up to 2^53.
+        x0 = (0.5, 0.5, 0.5)
+        ref = Trajectory(np.array([0.0, 1.0]), np.array([x0, x0]), kind="deterministic")
+        spec = LoopSpec(J=1.0, delta=0.3, kappa=(0.5,) * 3, N=2**53 + 1)
+        start = DensityState(x0, grid=spec.N)
+        for run in (lambda: jump.Records(spec, start, 2e-14, seed=1),
+                    lambda: ssa_sup_distance(spec, start, ref, 2e-14, seed=1)):
+            with pytest.raises(ValueError, match=f"N: at N = {2**53 + 1} "):
+                run()
+        spec = LoopSpec(J=1.0, delta=0.3, kappa=(0.5,) * 3, N=2**53)
+        jump.Records(spec, DensityState(x0, grid=spec.N), 2e-14, seed=1)
+
 
 class TestDirectStep:
     @staticmethod

@@ -23,14 +23,19 @@ from tdsim.micro import (
 
 
 def coupling(spec, influencer, a, target, b):
-    """The raw interaction table, written out for the brute-force oracle."""
+    """The raw interaction table, written out for the brute-force oracle.
+
+    Every matching term counts: at k = 2 the target is both the clockwise
+    and the anticlockwise neighbour of the influencer.
+    """
+    total = 0.0
     if target == spec.clockwise(influencer) and a == +1:
-        return -spec.delta * spec.J * b
+        total -= spec.delta * spec.J * b
     if target == spec.anticlockwise(influencer) and a == +1:
-        return -(1.0 - spec.delta) * spec.J * b
+        total -= (1.0 - spec.delta) * spec.J * b
     if target == influencer:
-        return spec.kappa[target]
-    return 0.0
+        total += spec.kappa[target]
+    return total
 
 
 def brute_hamiltonian(config):
@@ -88,6 +93,12 @@ def reference_density_generator(spec):
     return q
 
 
+def dense_residual(spec):
+    """max |diag(mu) Q - (diag(mu) Q)^T| from the dense generator."""
+    flux = gibbs_measure(spec)[:, None] * generator_matrix(spec)
+    return float(np.max(np.abs(flux - flux.T)))
+
+
 def same_bits(a, b):
     """Bitwise equality without copying the arrays into bytes."""
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
@@ -121,15 +132,16 @@ class TestHamiltonian:
 
     def test_against_pair_sum_oracle(self):
         rng = np.random.default_rng(7)
-        for _ in range(8):
+        for k in [3] * 8 + [2, 4, 5] * 4:
             N = int(rng.integers(1, 4))
             spec = LoopSpec(
                 J=float(rng.uniform(-2, 2)),
                 delta=float(rng.uniform(0, 1)),
-                kappa=tuple(rng.uniform(-1, 1, 3)),
+                kappa=tuple(rng.uniform(-1, 1, k)),
                 N=N,
+                k=k,
             )
-            spins = rng.choice([-1, 1], size=(3, N)).astype(np.int8)
+            spins = rng.choice([-1, 1], size=(k, N)).astype(np.int8)
             config = SpinConfiguration(spins, spec)
             assert hamiltonian(config) == pytest.approx(
                 brute_hamiltonian(config), abs=1e-12
@@ -142,17 +154,18 @@ class TestHamiltonian:
             energies = [hamiltonian(SpinConfiguration(config.spins, s)) for s in specs]
             assert max(energies) - min(energies) <= 1e-12
 
-    def test_requires_three_types(self):
+    def test_all_plus_at_four_types(self):
+        # Each type receives -J from its two neighbours' weights together.
         spec = LoopSpec(J=1.0, delta=0.5, kappa=(0.0,) * 4, N=1, k=4)
-        with pytest.raises(ValueError):
-            hamiltonian(SpinConfiguration.all_plus(spec))
+        assert hamiltonian(SpinConfiguration.all_plus(spec)) == pytest.approx(4.0)
 
 
 class TestGibbsMeasure:
     def test_uniform_at_zero_coupling(self):
-        spec = LoopSpec(J=0.0, delta=0.5, kappa=(0.0,) * 3, N=1)
-        mu = gibbs_measure(spec)
-        assert mu == pytest.approx(np.full(8, 1 / 8), abs=1e-15)
+        for k, N in ((3, 1), (4, 2)):
+            spec = LoopSpec(J=0.0, delta=0.5, kappa=(0.0,) * k, N=N, k=k)
+            size = 1 << (k * N)
+            assert gibbs_measure(spec) == pytest.approx(np.full(size, 1 / size), abs=1e-15)
 
     def test_normalized_and_positive(self):
         rng = np.random.default_rng(3)
@@ -302,6 +315,14 @@ class TestReversibility:
     def test_positive_for_directed_cycle(self):
         spec = LoopSpec(J=2.0, delta=0.0, kappa=(1.0,) * 3, N=1)
         assert reversibility_residual(spec) > 1e-6
+
+    @pytest.mark.parametrize("k, N", [(2, 1), (2, 3), (3, 1), (3, 2), (4, 1), (4, 2),
+                                      (5, 1), (5, 2)])
+    def test_equals_dense_generator_residual(self, k, N):
+        rng = np.random.default_rng(3000 * k + N)
+        for _ in range(3):
+            spec = random_spec(rng, k, N)
+            assert reversibility_residual(spec) == dense_residual(spec)
 
     def test_invariant_under_cycle_rotation(self):
         kappa = (0.3, -0.2, 0.1)
