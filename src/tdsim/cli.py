@@ -11,8 +11,11 @@ never held in memory.  `simulate` streams its rows: the writer takes the
 sampler's float tables (:class:`tdsim.jump.Records`) as they are recorded,
 so no run holds its whole path.  `ode` hands the writer one float array.
 Float rows are spelled once per distinct value of a column in a block; the
-other commands' rows of mixed cells are spelled cell by cell.  A dataset
-whose writing fails is removed, so no partial file is left.
+other commands' rows of mixed cells are spelled cell by cell.  An existing
+regular file at the output path is replaced by a new file, not truncated
+in place, so a hard link to the old dataset keeps its bytes; a symlink or a
+device is written through.  A dataset whose writing fails is removed, so no
+partial file is left.
 
 Exit codes: 0 success, 1 runtime or check failure, 2 configuration error
 (the message names the offending field).
@@ -222,6 +225,12 @@ def _json_rows(rows):
     yield "[]" if opening == "[\n" else "\n ]"
 
 
+def _regular_file(path: str) -> bool:
+    """Whether ``path`` names a regular file itself, not a link, device or
+    directory: the only kind :func:`write_dataset` removes."""
+    return os.path.isfile(path) and not os.path.islink(path)
+
+
 def write_dataset(
     path: str,
     config: dict,
@@ -234,12 +243,20 @@ def write_dataset(
     the config object (JSON), and re-parse into config either way.
 
     ``rows`` is a list of rows, an ``(M, len(columns))`` float array, or an
-    iterable of such arrays, each written as it arrives.  If writing
-    raises, a regular file at ``path`` is removed before the error goes
-    on, so no partial dataset is left; a device such as ``/dev/null`` stays.
+    iterable of such arrays, each written as it arrives.  A regular file
+    already at ``path`` is removed first, so the dataset goes to a new file
+    (with default permissions) instead of truncating the old one in place:
+    truncating a file that was just written can block until the kernel has
+    flushed it (tens of milliseconds per rerun on ext4).  A hard link to
+    the old file keeps its bytes; a symlink, or a device such as
+    ``/dev/null``, is written through.  If writing raises, a regular file at
+    ``path`` is removed before the error goes on, so no partial dataset is
+    left.
     """
     if fmt not in ("csv", "json"):
         raise ConfigError(f"format: unknown format {fmt!r}")
+    if _regular_file(path):
+        os.remove(path)
     fh = open(path, "w")
     try:
         with fh:
@@ -259,7 +276,7 @@ def write_dataset(
             for key, value in (footer or {}).items():
                 fh.write(f"# {key} = {_fmt(value)}\n")
     except BaseException:
-        if os.path.isfile(path) and not os.path.islink(path):
+        if _regular_file(path):
             os.remove(path)
         raise
 
@@ -449,8 +466,7 @@ def _validate_checks(spec: LoopSpec, seed: int):
     rng = jump._stream(seed)
     # Both exact micro checks enumerate configurations; the generator check
     # stops at the dense generator's limit, the residual at the enumeration
-    # guard.
-    enumerable = spec.k * spec.N <= micro.ENUMERATION_LIMIT
+    # guards.
     if spec.k * spec.N <= micro.GENERATOR_LIMIT:
         # The difference and its abs are taken in place, so no third or
         # fourth matrix of this size is held; the generator frame would keep
@@ -461,14 +477,16 @@ def _validate_checks(spec: LoopSpec, seed: int):
         del gap
         yield "micro-macro generator equivalence", res, 1e-12, None
     else:
-        limit = micro.GENERATOR_LIMIT if enumerable else micro.ENUMERATION_LIMIT
+        small = spec.k * spec.N <= micro.ENUMERATION_LIMIT
+        limit = micro.GENERATOR_LIMIT if small else micro.ENUMERATION_LIMIT
         yield "micro-macro generator equivalence", None, 1e-12, f"skipped (k*N > {limit})"
 
     zero_spec = LoopSpec(J=0.0, delta=spec.delta, kappa=(0.0,) * 3, N=min(spec.N, 2), k=3)
     yield "reversibility residual at J=0", micro.reversibility_residual(zero_spec), 1e-12, None
 
-    if not enumerable:
-        yield "reversibility residual at config", None, None, "skipped (k*N > 20)"
+    refusal = micro._enumeration_refusal(spec)
+    if refusal is not None:
+        yield "reversibility residual at config", None, None, f"skipped ({refusal})"
     else:
         res = micro.reversibility_residual(spec)
         yield "reversibility residual at config", res, None, f"info ({res:.3e})"

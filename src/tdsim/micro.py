@@ -18,13 +18,14 @@ diagonal pair; excluding the diagonal would only shift the energy by
 another constant.  On a cycle every type is the clockwise neighbour of
 exactly one other, so the two neighbour sums of the energy are equal and H
 does not depend on delta; delta enters only the flip rates.  All exact
-enumerations are guarded by k*N <= 20, and the generators over
-configurations by k*N <= 12.  Both generators are built from the flip table
-(each configuration's k*N single-site flip targets and rates), with each
-diagonal minus the sum of its row's k*N rates: :func:`generator_matrix`
-scatters it into the dense 2^(kN)-square matrix,
-:func:`lumped_density_generator` sums it by jump channel.  Flip rates and
-Gibbs weights take their exponentials from :func:`tdsim.model._exact_exps`.
+enumerations are guarded by k*N <= 20 and by k*2^(kN) <= 2^21 cells, and
+the generators over configurations by k*N <= 12.  Both generators are
+built from the flip table (each configuration's k*N single-site flip
+targets and rates), with each diagonal minus the sum of its row's k*N
+rates: :func:`generator_matrix` scatters it into the dense 2^(kN)-square
+matrix, :func:`lumped_density_generator` sums it by jump channel.  Flip
+rates and Gibbs weights take their exponentials from
+:func:`tdsim.model._exact_exps`.
 """
 from __future__ import annotations
 
@@ -49,6 +50,13 @@ __all__ = [
 ]
 
 ENUMERATION_LIMIT = 20
+# Largest number of (configuration, type) cells, k*2^(kN), that
+# :func:`gibbs_measure` and :func:`reversibility_residual` enumerate.  They
+# hold several arrays of that many cells at once, so k*N alone does not
+# bound their memory: at k*N = 20 one residual took 1027 MiB at k = 20,
+# N = 1 and 537 MiB at k = 10, N = 2.  Every k = 3 case up to N = 6 and
+# every k = 2 case up to N = 10 lie within it.
+ENUMERATED_CELLS_LIMIT = 1 << 21
 # Largest k*N at which :func:`generator_matrix` and
 # :func:`lumped_density_generator` run.  Only the matrix touches 4^(kN)
 # dense entries (128 MiB at k*N = 12, 8 GiB at k*N = 15); the lumped
@@ -99,10 +107,23 @@ class SpinConfiguration:
         return np.sum(self.spins == 1, axis=1)
 
 
-def _require_enumerable(spec: LoopSpec):
+def _enumeration_refusal(spec: LoopSpec) -> str | None:
+    """The enumeration guard that ``spec`` exceeds, as text, or None.
+
+    k*N is tested first, so the cell count is never formed for a large N.
+    """
     if spec.k * spec.N > ENUMERATION_LIMIT:
+        return f"k*N > {ENUMERATION_LIMIT}"
+    if spec.k << (spec.k * spec.N) > ENUMERATED_CELLS_LIMIT:
+        return f"k*2^(kN) > 2^{ENUMERATED_CELLS_LIMIT.bit_length() - 1}"
+    return None
+
+
+def _require_enumerable(spec: LoopSpec):
+    refusal = _enumeration_refusal(spec)
+    if refusal is not None:
         raise ValueError(
-            f"k*N = {spec.k * spec.N} exceeds the enumeration guard {ENUMERATION_LIMIT}"
+            f"k = {spec.k}, N = {spec.N} exceeds the enumeration guard ({refusal})"
         )
 
 
@@ -150,7 +171,7 @@ def gibbs_measure(spec: LoopSpec) -> np.ndarray:
     """Gibbs probabilities exp(-H)/Z over all 2^(kN) configurations.
 
     Configuration c is indexed by its bitmask: bit (i*N + n) set means site
-    (i, n) is +1.  Requires k*N <= 20.
+    (i, n) is +1.  Requires k*N <= 20 and k*2^(kN) <= 2^21.
     """
     _require_enumerable(spec)
     idx = np.arange(1 << (spec.k * spec.N), dtype=np.int64)

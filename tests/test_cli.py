@@ -184,6 +184,49 @@ class TestSimulate:
         assert run(["simulate", "--t-end", "1", "--seed", "1", "--out", os.devnull]) == 1
         assert removed == []
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_rerun_replaces_the_file_instead_of_truncating_it(self, fmt, tmp_path):
+        # A hard link shares the old inode: it keeps the old bytes and mode
+        # only if the rerun wrote a new file at --out.
+        out, old, fresh = (tmp_path / f"{name}.{fmt}" for name in ("out", "old", "fresh"))
+        argv = ["simulate", "--t-end", "1", "--format", fmt, "--seed"]
+        assert run(argv + ["1", "--out", str(out)]) == 0
+        first = out.read_bytes()
+        os.link(out, old)
+        old.chmod(0o604)
+        assert run(argv + ["2", "--out", str(out)]) == 0
+        assert run(argv + ["2", "--out", str(fresh)]) == 0
+        assert old.read_bytes() == first
+        assert out.read_bytes() == fresh.read_bytes() != first
+        assert old.stat().st_mode & 0o777 == 0o604
+        assert out.stat().st_mode == fresh.stat().st_mode
+
+    def test_symlinked_out_is_written_through(self, tmp_path):
+        target, link, fresh = (tmp_path / f"{name}.csv" for name in ("target", "link", "fresh"))
+        target.write_text("old dataset\n")
+        link.symlink_to(target)
+        argv = ["simulate", "--t-end", "1", "--seed", "1", "--out"]
+        assert run(argv + [str(link)]) == 0
+        assert run(argv + [str(fresh)]) == 0
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == fresh.read_bytes()
+
+    def test_config_error_keeps_an_existing_dataset(self, tmp_path):
+        out = tmp_path / "run.csv"
+        assert run(["simulate", "--t-end", "1", "--seed", "1", "--out", str(out)]) == 0
+        before = out.read_bytes()
+        assert run(["simulate", "--delta", "2.0", "--seed", "1", "--out", str(out)]) == 2
+        assert out.read_bytes() == before
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_writer_error_on_a_rerun_leaves_no_file(self, fmt, tmp_path, monkeypatch):
+        out = tmp_path / f"run.{fmt}"
+        argv = ["simulate", "--t-end", "1", "--seed", "1", "--format", fmt, "--out", str(out)]
+        assert run(argv) == 0
+        self.fail_after_first_block(monkeypatch)
+        assert run(argv) == 1
+        assert not out.exists()
+
     def test_largest_rates_below_overflow_still_sample(self, tmp_path):
         # At N = 1000, 6 N e^698 is a double.  Type A's up-rate (N - n_A)
         # e^698 outweighs every other, so each event raises x_A.
@@ -422,6 +465,15 @@ class TestValidate:
         statuses = {row[0]: row[3] for row in rows}
         assert statuses["micro-macro generator equivalence"] == "skipped (k*N > 12)"
 
+    def test_config_residual_skipped_above_cell_guard(self, tmp_path):
+        # k*N = 20 is within the k*N guard, but k*2^(kN) cells are not.
+        out = tmp_path / "validate.csv"
+        assert run(["validate", "--k", "20", "--N", "1", "--seed", "2", "--out", str(out)]) == 0
+        _, _, rows = read_dataset(str(out))
+        statuses = {row[0]: row[3] for row in rows}
+        assert statuses["reversibility residual at config"] == "skipped (k*2^(kN) > 2^21)"
+        assert statuses["micro-macro generator equivalence"] == "skipped (k*N > 12)"
+
     def test_decoupled_config_residuals_tiny(self, tmp_path):
         out = tmp_path / "validate.csv"
         code = run(["validate", "--J", "0", "--kappa", "0", "--seed", "3",
@@ -648,6 +700,14 @@ class TestWriteDataset:
         payload = {"tdsim": tdsim.__version__, "config": dict(config, slope=-0.5),
                    "columns": ["a", "b", "c", "d"], "rows": rows}
         assert out.read_text() == json.dumps(payload, indent=1) + "\n"
+
+    def test_unknown_format_leaves_an_existing_file(self, tmp_path):
+        # The format is checked before the old file is removed.
+        out = tmp_path / "out.csv"
+        out.write_bytes(b"old dataset\n")
+        with pytest.raises(cli.ConfigError, match="format"):
+            write_dataset(str(out), {"command": "simulate"}, ["t"], [[0.0]], "xml")
+        assert out.read_bytes() == b"old dataset\n"
 
     @staticmethod
     def long_path():

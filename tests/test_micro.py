@@ -12,6 +12,7 @@ from tdsim.micro import (
     LUMPING_TOL,
     SpinConfiguration,
     _config_counts,
+    _enumeration_refusal,
     density_generator,
     generator_matrix,
     gibbs_measure,
@@ -192,6 +193,24 @@ class TestGibbsMeasure:
         spec = LoopSpec(J=1.0, delta=0.5, kappa=(0.0,) * 3, N=7)
         with pytest.raises(ValueError):
             gibbs_measure(spec)
+
+    def test_cell_guard_refuses_k20_N1(self):
+        # k*N = 20 passes the k*N guard, but 20 * 2^20 cells would take
+        # about 1 GiB.
+        spec = LoopSpec(J=1.0, delta=0.5, kappa=(0.5,) * 20, N=1, k=20)
+        with pytest.raises(ValueError, match=r"k = 20, N = 1 exceeds the enumeration guard"):
+            gibbs_measure(spec)
+        with pytest.raises(ValueError, match=r"k\*2\^\(kN\) > 2\^21"):
+            reversibility_residual(spec)
+
+    @pytest.mark.parametrize("k, N, refusal", [
+        (3, 6, None), (2, 10, None), (6, 3, None), (3, 7, "k*N > 20"), (2, 11, "k*N > 20"),
+        (4, 5, "k*2^(kN) > 2^21"), (10, 2, "k*2^(kN) > 2^21"), (20, 1, "k*2^(kN) > 2^21"),
+        (3, 10**9, "k*N > 20"),
+    ])
+    def test_enumeration_guards(self, k, N, refusal):
+        spec = LoopSpec(J=1.0, delta=0.5, kappa=(0.0,) * k, N=N, k=k)
+        assert _enumeration_refusal(spec) == refusal
 
 
 class TestGeneratorMatrix:
