@@ -320,9 +320,7 @@ def convergence_experiment(
     rows = []
     for p, N in enumerate(N_values):
         spec = replace(base, N=int(N))
-        grid_x0 = DensityState.from_counts(
-            [int(round(v * N)) for v in x0], int(N)
-        )
+        grid_x0 = DensityState.nearest(x0, N)
         sups = [jump.ssa_sup_distance(spec, grid_x0, reference, t, jump.derive_seed(seed, p, r))
                 for r in range(replicas)]
         q25, med, q75 = np.percentile(sups, [25, 50, 75])

@@ -347,7 +347,7 @@ def cmd_simulate(args) -> int:
         raise ConfigError("thinning: the micro level records every event; use 1 or omit it")
     seed = _resolve_seed(args)
     x0 = _parse_x0(args, spec.k)
-    state0 = DensityState.from_counts([int(round(v * spec.N)) for v in x0], spec.N)
+    state0 = DensityState.nearest(x0, spec.N)
     # The micro chain projects to the density process (see
     # micro.micro_simulate), so its path is the density path, every event kept.
     thinning = 1 if args.level == "micro" else args.thinning
@@ -467,7 +467,8 @@ def _validate_checks(spec: LoopSpec, seed: int):
     # Both exact micro checks enumerate configurations; the generator check
     # stops at the dense generator's limit, the residual at the enumeration
     # guards.
-    if spec.k * spec.N <= micro.GENERATOR_LIMIT:
+    refusal = micro._generator_refusal(spec)
+    if refusal is None:
         # The difference and its abs are taken in place, so no third or
         # fourth matrix of this size is held; the generator frame would keep
         # ``gap`` through the later checks, hence the del.
@@ -477,9 +478,7 @@ def _validate_checks(spec: LoopSpec, seed: int):
         del gap
         yield "micro-macro generator equivalence", res, 1e-12, None
     else:
-        small = spec.k * spec.N <= micro.ENUMERATION_LIMIT
-        limit = micro.GENERATOR_LIMIT if small else micro.ENUMERATION_LIMIT
-        yield "micro-macro generator equivalence", None, 1e-12, f"skipped (k*N > {limit})"
+        yield "micro-macro generator equivalence", None, 1e-12, f"skipped ({refusal})"
 
     zero_spec = LoopSpec(J=0.0, delta=spec.delta, kappa=(0.0,) * 3, N=min(spec.N, 2), k=3)
     yield "reversibility residual at J=0", micro.reversibility_residual(zero_spec), 1e-12, None

@@ -127,8 +127,18 @@ def _require_enumerable(spec: LoopSpec):
         )
 
 
+def _generator_refusal(spec: LoopSpec) -> str | None:
+    """The guard on k*N that the dense generators refuse ``spec`` by, as
+    text, or None: the enumeration guard above it, else the generators'."""
+    if spec.k * spec.N <= GENERATOR_LIMIT:
+        return None
+    if spec.k * spec.N > ENUMERATION_LIMIT:
+        return f"k*N > {ENUMERATION_LIMIT}"
+    return f"k*N > {GENERATOR_LIMIT}"
+
+
 def _require_dense_generator(spec: LoopSpec):
-    if spec.k * spec.N > GENERATOR_LIMIT:
+    if _generator_refusal(spec) is not None:
         raise ValueError(
             f"k*N = {spec.k * spec.N} exceeds the dense generator guard {GENERATOR_LIMIT}"
         )

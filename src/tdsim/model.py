@@ -107,7 +107,9 @@ class DensityState:
     """Vector of per-type activation densities.
 
     ``grid`` is the reservoir size N such that every density is a multiple
-    of 1/N, or None for continuum states (ODE use).
+    of 1/N, or None for continuum states (ODE use).  A density v is on the
+    grid when ``c / N == v`` for a count c, which holds exactly up to
+    N = 2^53, or when ``v * N`` lies within 1e-9 of a count.
     """
 
     x: tuple[float, ...]
@@ -123,7 +125,7 @@ class DensityState:
             if not isinstance(self.grid, int) or self.grid < 1:
                 raise ValueError(f"grid must be a positive integer, got {self.grid!r}")
             for v in x:
-                if abs(v * self.grid - round(v * self.grid)) > 1e-9:
+                if _grid_count(v, self.grid) is None:
                     raise ValueError(f"density {v} is not a multiple of 1/{self.grid}")
         object.__setattr__(self, "x", x)
 
@@ -131,14 +133,30 @@ class DensityState:
     def from_counts(cls, counts, N: int) -> "DensityState":
         return cls(tuple(c / N for c in counts), grid=N)
 
+    @classmethod
+    def nearest(cls, x, N: int) -> "DensityState":
+        """The state on the 1/N grid nearest the densities x."""
+        return cls.from_counts([int(round(v * N)) for v in x], N)
+
     @property
     def counts(self) -> tuple[int, ...]:
         if self.grid is None:
             raise ValueError("continuum state has no counts")
-        return tuple(int(round(v * self.grid)) for v in self.x)
+        return tuple(_grid_count(v, self.grid) for v in self.x)
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.x, dtype=float)
+
+
+def _grid_count(v: float, N: int) -> int | None:
+    """The count c with ``c / N == v``, else the count within 1e-9 of
+    ``v * N``, else None.  Up to N = 2^53, ``c / N * N`` rounds to within 2
+    of c, so c is searched there."""
+    nearest = round(v * N)
+    for c in (nearest, nearest - 1, nearest + 1, nearest - 2, nearest + 2):
+        if c / N == v:
+            return c
+    return nearest if abs(v * N - nearest) <= 1e-9 else None
 
 
 def _as_density_array(x) -> np.ndarray:

@@ -13,7 +13,9 @@ systems) takes :func:`_rk45_loop_3`, the same Dormand-Prince step unrolled on
 scalar locals with the same operations in the same order, so its nodes are
 bitwise those of the generic loop without its per-stage lists and zips.  The
 output trajectory holds numpy arrays, and its ``meta`` records the run
-counters ``steps_accepted``, ``steps_rejected`` and ``f_evals``.
+counters ``steps_accepted``, ``steps_rejected`` and ``f_evals`` (the field
+evaluations of the steps).  A path resampled on a ``sample_dt`` grid carries
+no derivatives.
 """
 from __future__ import annotations
 
@@ -68,8 +70,8 @@ class IntegratorSettings:
     method "rk4" is fixed-step with size ``step``; "rk45" is the adaptive
     pair controlled by ``rtol``/``atol``.  When ``sample_dt`` is set the
     output trajectory is resampled on that uniform grid through the Hermite
-    interpolant (endpoints always included); otherwise the accepted nodes
-    are returned.
+    interpolant (endpoints always included), without derivatives; otherwise
+    the accepted nodes are returned.
     """
 
     method: str = "rk45"
@@ -118,7 +120,10 @@ def _rk4_path(f, y0, t_end, h, stats):
     # the warning would only duplicate that error.
     with np.errstate(over="ignore", invalid="ignore"):
         while t < t_end - 1e-15:
-            step = min(h, t_end - t)
+            # A span left within the slack of one step is the last step, so
+            # the path ends at t_end and not a rounding short of it.
+            last = t_end - t <= h + 1e-15
+            step = t_end - t if last else h
             half = 0.5 * step
             k2 = f([a + half * b for a, b in zip(y, k1)])
             k3 = f([a + half * b for a, b in zip(y, k2)])
@@ -126,7 +131,7 @@ def _rk4_path(f, y0, t_end, h, stats):
             sixth = step / 6.0
             y = [a + sixth * (b1 + 2 * b2 + 2 * b3 + b4)
                  for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
-            t = t + step
+            t = t_end if last else t + step
             if not _all_finite(y):
                 raise NonFiniteState(t)
             k1 = f(y)
@@ -290,7 +295,8 @@ def _integrate_field(f, y0, t_end, settings, meta):
     """Integrate on Python floats from ``y0`` (a list); numpy arrays on output.
 
     ``meta`` gains the run counters ``steps_accepted``, ``steps_rejected``
-    and ``f_evals`` (field evaluations, including the resampling ones).
+    and ``f_evals`` (field evaluations of the steps).  A path resampled on
+    ``settings.sample_dt`` carries no derivatives.
     """
     if not math.isfinite(t_end) or t_end < 0:
         raise ValueError(f"t_end must be finite and non-negative, got {t_end!r}")
@@ -305,12 +311,7 @@ def _integrate_field(f, y0, t_end, settings, meta):
         grid = np.arange(0.0, t_end, settings.sample_dt)
         if grid[-1] < t_end:
             grid = np.append(grid, t_end)
-        sampled = traj.hermite_at(grid)
-        meta["f_evals"] += len(grid)
-        traj = Trajectory(
-            grid, sampled, kind="deterministic", meta=meta,
-            derivs=np.array([f(s) for s in sampled.tolist()]),
-        )
+        traj = Trajectory(grid, traj.hermite_at(grid), kind="deterministic", meta=meta)
     return traj
 
 

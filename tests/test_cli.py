@@ -42,6 +42,16 @@ class TestSimulate:
         assert len(rows) == 1
         assert rows[0][0] == 0.0
 
+    @pytest.mark.parametrize("N, x0, t_end", [("30000000", "0.535,0.5,0.5", "1e-9"),
+                                              ("1000000000", "0.067,0.5,0.5", "1e-12")])
+    def test_exact_start_at_large_N(self, tmp_path, N, x0, t_end):
+        # c / N * N misses c by more than 1e-9 at these counts.
+        out = tmp_path / "run.csv"
+        assert run(["simulate", "--N", N, "--x0", x0, "--t-end", t_end, "--seed", "1",
+                    "--out", str(out)]) == 0
+        _, _, rows = read_dataset(str(out))
+        assert rows[0][1:] == [float(v) for v in x0.split(",")]
+
     def test_byte_identical_reruns(self, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
@@ -297,6 +307,14 @@ class TestOde:
         exact = 0.5 + (np.array([0.9, 0.1, 0.5]) - 0.5) * np.exp(-2 * data[:, :1])
         assert np.abs(data[:, 1:] - exact).max() < 1e-6
 
+    @pytest.mark.parametrize("step, t_end", [("0.1", "1"), ("0.3", "0.9")])
+    def test_rk4_last_row_at_t_end(self, tmp_path, step, t_end):
+        out = tmp_path / "ode.csv"
+        assert run(["ode", "--method", "rk4", "--step", step, "--t-end", t_end,
+                    "--out", str(out)]) == 0
+        config, _, rows = read_dataset(str(out))
+        assert rows[-1][0] == config["t_end"] == float(t_end)
+
     def test_malformed_x0_exits_2(self, tmp_path):
         out = tmp_path / "never.csv"
         assert run(["ode", "--x0", "0.5,0.5", "--out", str(out)]) == 2
@@ -366,6 +384,14 @@ class TestConverge:
         _, _, rows = read_dataset(str(out))
         assert len(rows) == 1
         assert rows[0][0] == 50
+
+    def test_exact_start_at_large_N(self, tmp_path):
+        out = tmp_path / "conv.csv"
+        assert run(["converge", "--N", "1000", "--N", "30000000", "--x0", "0.535,0.5,0.5",
+                    "--t-end", "1e-6", "--replicas", "2", "--seed", "1",
+                    "--out", str(out)]) == 0
+        _, _, rows = read_dataset(str(out))
+        assert [row[0] for row in rows] == [1000, 30_000_000]
 
     def test_zero_replicas_rejected(self, tmp_path):
         out = tmp_path / "never.csv"

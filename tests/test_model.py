@@ -115,6 +115,39 @@ class TestLoopSpec:
             DensityState((1.2, 0.5, 0.5))
 
 
+class TestDensityStateGrid:
+    """Counts and densities round-trip exactly on the 1/N grid up to 2^53."""
+
+    # At 6e15 + 1, round(c / N * N) misses c by one for about 3 % of counts.
+    @pytest.mark.parametrize("N", [30_000_000, 10**9, 3 * 10**15 + 7, 6 * 10**15 + 1,
+                                   2**53 - 1, 2**53])
+    def test_counts_round_trip(self, N):
+        rng = np.random.default_rng(N % 1000)
+        counts = [0, 1, N // 3, N // 2, N - 1, N]
+        counts += [int(c) for c in rng.integers(0, N, size=2000, endpoint=True)]
+        for c in counts:
+            assert DensityState.from_counts([c], N).counts == (c,)
+            assert DensityState((c / N,), grid=N).counts == (c,)
+
+    def test_three_decimal_starts_at_large_N(self):
+        N = 30_000_000
+        for i in range(1001):
+            v = i / 1000
+            assert DensityState.nearest([v, 0.5, 0.5], N).x == (v, 0.5, 0.5)
+        assert DensityState.nearest([0.535, 0.5, 0.5], N).counts == (16_050_000,) + (N // 2,) * 2
+        assert DensityState.nearest([0.067], 10**9).counts == (67_000_000,)
+
+    @pytest.mark.parametrize("v, N", [(0.25, 10), (0.3, 4), (1.5 / 2**53, 2**53),
+                                      (0.1 + 2**-40, 10**9)])
+    def test_off_grid_density_refused(self, v, N):
+        with pytest.raises(ValueError, match=rf"^density {v} is not a multiple of 1/{N}$"):
+            DensityState((v,), grid=N)
+
+    def test_computed_density_within_1e_9_accepted(self):
+        # 0.1 + 0.2 is not the double 3 / 10, but within 1e-9 of it times 10.
+        assert DensityState((0.1 + 0.2,), grid=10).counts == (3,)
+
+
 class TestFlipRates:
     def test_balanced_exponent(self):
         # delta=1 makes only the anticlockwise density matter; at x_a = 1/2

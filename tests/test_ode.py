@@ -172,6 +172,50 @@ class TestIntegrate:
             with pytest.raises(ValueError, match="x0"):
                 integrate(spec, np.array(x0), 1.0)
 
+    @pytest.mark.parametrize("step, t_end, steps", [(0.1, 1.0, 10), (0.3, 0.9, 3),
+                                                    (0.02, 2.0, 100)])
+    def test_rk4_path_ends_at_t_end(self, step, t_end, steps):
+        # The accumulated t + step lands a rounding short of t_end here.
+        spec = LoopSpec.with_half_j(J=1.0, delta=0.3, N=10)
+        traj = integrate(spec, np.array([0.8, 0.2, 0.5]), t_end,
+                         IntegratorSettings(method="rk4", step=step))
+        assert traj.times[-1] == t_end
+        assert traj.meta["steps_accepted"] == steps
+
+
+class TestResampledPath:
+    """A ``sample_dt`` path is the node path's Hermite output, with no field
+    evaluations of its own."""
+
+    spec = LoopSpec(J=1.0, delta=0.3, kappa=(0.5,) * 3, N=10_000)
+    x0 = np.array([0.8, 0.2, 0.5])
+    settings = IntegratorSettings(rtol=1e-8, atol=1e-10)
+    sampled = IntegratorSettings(rtol=1e-8, atol=1e-10, sample_dt=1e-3)
+
+    def test_counts_only_the_steps(self, monkeypatch):
+        calls = [0]
+
+        def counting_closure(spec):
+            f = field_closure(spec)
+
+            def counted(y):
+                calls[0] += 1
+                return f(y)
+
+            return counted
+
+        nodes = integrate(self.spec, self.x0, 5.0, self.settings)
+        monkeypatch.setattr(ode, "field_closure", counting_closure)
+        traj = integrate(self.spec, self.x0, 5.0, self.sampled)
+        assert traj.meta["f_evals"] == nodes.meta["f_evals"] == calls[0]
+        assert len(traj) == 5001
+
+    def test_states_are_the_node_paths_hermite_output(self):
+        nodes = integrate(self.spec, self.x0, 5.0, self.settings)
+        traj = integrate(self.spec, self.x0, 5.0, self.sampled)
+        assert np.array_equal(traj.states, nodes.hermite_at(traj.times))
+        assert traj.derivs is None
+
 
 def recording(f):
     """``f`` that also records the type of every argument it is called with."""
