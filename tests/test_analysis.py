@@ -1,5 +1,6 @@
 """Spectrum, bifurcation classification, rotated frame, convergence study."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from tdsim.analysis import (
     classify,
     convergence_experiment,
     fixed_point_branch,
+    hopf_amplitude,
     orbit_extrema,
     polar_rates,
     rotation_matrix,
@@ -150,6 +152,45 @@ class TestClassify:
                     classify(J, delta).classification
                     == classify(J, 1 - delta).classification
                 )
+
+
+class TestLimitCycle:
+    """Oscillatory extrema come from the limit cycle solved on the section
+    x_A = 1/2, not from the tail of a fixed horizon."""
+
+    def test_hopf_amplitude_law(self):
+        assert hopf_amplitude(2.5, 0.0) == pytest.approx(1.0, abs=1e-15)
+        assert hopf_amplitude(2.0, 0.3) == 0.0
+        for J, delta in ((1.9, 0.3), (2.5, 0.5), (2.5, 1.2), (math.nan, 0.3)):
+            with pytest.raises(ValueError):
+                hopf_amplitude(J, delta)
+
+    @pytest.mark.parametrize("delta", [0.0, 0.3, 0.7])
+    @pytest.mark.parametrize("eps", [0.0025, 0.005, 0.01, 0.02])
+    def test_amplitude_follows_the_hopf_law(self, eps, delta):
+        J = 2.0 + eps
+        ratio = classify(J, delta).amplitude / hopf_amplitude(J, delta)
+        assert abs(ratio - 1.0) <= 1.1 * eps
+
+    def test_near_hopf_amplitude_is_the_cycle(self):
+        # A 300-unit horizon from the burn-in start still reads the
+        # transient here (0.07613).
+        assert classify(2.002, 0.3).amplitude == pytest.approx(0.06318, rel=0.01)
+
+    @pytest.mark.parametrize("delta", [0.0, 0.3, 0.45])
+    @pytest.mark.parametrize("J", [2.05, 2.5, 3.0, 4.0])
+    def test_cycle_is_symmetric_about_one_half(self, J, delta):
+        # With kappa = J/2 the field is odd about 1/2, and so is its cycle.
+        rec = classify(J, delta)
+        assert abs(rec.orbit_min[0] + rec.orbit_max[0] - 1.0) <= 1e-8
+
+    @pytest.mark.parametrize("J, delta", [(2.0 + 1e-7, 0.0), (2.0 + 1e-5, 0.3), (5.0, 0.49)])
+    def test_unverified_cycle_raises(self, J, delta):
+        # Inside the band next to J = 2 the return noise outweighs the
+        # contraction; at (5, 0.49) the burn-in settles on an off-diagonal
+        # fixed point and never crosses the section.
+        with pytest.raises(RuntimeError, match=re.escape(f"J={J}, delta={delta}")):
+            classify(J, delta)
 
 
 def scalar_orbit_extrema(traj, t_start, t_end):

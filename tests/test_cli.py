@@ -371,6 +371,12 @@ class TestBifurcate:
             if row[2] == "oscillatory":
                 assert row[amp_col] is not None
 
+    def test_unverified_cycle_exits_1_without_a_dataset(self, tmp_path, capsys):
+        out = tmp_path / "bif.csv"
+        assert run(["bifurcate", "--grid", "2.1,2.0000001", "--out", str(out)]) == 1
+        assert "J=2.0000001, delta=0.0" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestConverge:
     def test_single_n_row(self, tmp_path):

@@ -82,6 +82,10 @@ CASES = {
     "bifurcate_delta03.json": [
         "bifurcate", "--delta", "0.3", "--grid=-2:2.5:1.5", "--format", "json",
     ],
+    # Close above the Hopf point, where the cycle attracts slowly.
+    "bifurcate_near_hopf.csv": [
+        "bifurcate", "--delta", "0.3", "--grid", "2.002,2.01,2.05",
+    ],
     "converge.csv": [
         "converge", "--J", "1", "--delta", "0.3", "--kappa", "0.5", "--N", "50",
         "--N", "500", "--replicas", "4", "--t-end", "1", "--seed", "8",
