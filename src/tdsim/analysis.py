@@ -347,6 +347,8 @@ def classify(J: float, delta: float) -> BifurcationRecord:
     and 0.51 with J in {4, 5, 6} the burn-in settles on an off-diagonal
     fixed point and never returns to the section, so those raise too.
     """
+    if not math.isfinite(J):
+        raise ValueError("J must be finite")
     if not (0.0 <= delta <= 1.0):
         raise ValueError("delta must lie in [0, 1]")
     eigenvalues = _closed_form_eigenvalues(J, delta)
@@ -399,15 +401,16 @@ def rotation_matrix() -> np.ndarray:
 def z_system(J: float, delta: float) -> np.ndarray:
     """Linearization R^T (dF at the symmetric point) R in the rotated frame.
 
-    Closed form [[J-2, w, 0], [-w, J-2, 0], [0, 0, -(2J+2)]] with
-    w = sqrt(3)J(2d-1); ``tdsim validate`` checks it against the Jacobian.
+    Closed form [[re, -im, 0], [im, re, 0], [0, 0, lam1]] from the
+    symmetric spectrum {lam1, re +/- i im}; ``tdsim validate`` checks it
+    against the Jacobian.
     """
-    w = math.sqrt(3.0) * J * (2.0 * delta - 1.0)
+    lam1, pair, _ = _closed_form_eigenvalues(J, delta)
     return np.array(
         [
-            [J - 2.0, w, 0.0],
-            [-w, J - 2.0, 0.0],
-            [0.0, 0.0, -(2.0 * J + 2.0)],
+            [pair.real, -pair.imag, 0.0],
+            [pair.imag, pair.real, 0.0],
+            [0.0, 0.0, lam1.real],
         ]
     )
 
@@ -418,7 +421,8 @@ def polar_rates(J: float, delta: float) -> tuple[float, float]:
     dr/dt = r (J - 2) and dtheta/dt = -sqrt(3) J (2 delta - 1); at J = 2 the
     radius is conserved and the rotation direction flips across delta = 1/2.
     """
-    return J - 2.0, -math.sqrt(3.0) * J * (2.0 * delta - 1.0)
+    pair = _closed_form_eigenvalues(J, delta)[1]
+    return pair.real, pair.imag
 
 
 @dataclass(frozen=True)
@@ -465,8 +469,7 @@ def convergence_experiment(
     N_values = [int(v) for v in N_values]
     if replicas == 0 or len(N_values) == 0:
         return ConvergenceResult(rows=(), slope=None)
-    settings = ode.IntegratorSettings(method="rk45", rtol=REFERENCE_RTOL, atol=1e-10,
-                                      sample_dt=REFERENCE_SAMPLE_DT)
+    settings = ode.IntegratorSettings(rtol=REFERENCE_RTOL, sample_dt=REFERENCE_SAMPLE_DT)
     reference = ode.integrate(replace(base, N=max(N_values)), x0, t, settings)
     rows = []
     for p, N in enumerate(N_values):

@@ -467,7 +467,7 @@ def _validate_checks(spec: LoopSpec, seed: int):
     # Both exact micro checks enumerate configurations; the generator check
     # stops at the dense generator's limit, the residual at the enumeration
     # guards.
-    refusal = micro._generator_refusal(spec)
+    refusal = micro._enumeration_refusal(spec, micro.GENERATOR_LIMIT)
     if refusal is None:
         # The difference and its abs are taken in place, so no third or
         # fourth matrix of this size is held; the generator frame would keep
@@ -492,17 +492,14 @@ def _validate_checks(spec: LoopSpec, seed: int):
 
     from .model import jacobian, vector_field
 
+    # Row j of the shifted batch is x +/- h e_j, so column j of fd is dF/dx_j.
+    h = 1e-6
+    shifts = h * np.eye(spec.k)
     worst = 0.0
     for _ in range(20):
         x = rng.uniform(0.05, 0.95, size=spec.k)
-        jac = jacobian(spec, x)
-        fd = np.empty_like(jac)
-        h = 1e-6
-        for j in range(spec.k):
-            e = np.zeros(spec.k)
-            e[j] = h
-            fd[:, j] = (vector_field(spec, x + e) - vector_field(spec, x - e)) / (2 * h)
-        worst = max(worst, float(np.max(np.abs(jac - fd))))
+        fd = (vector_field(spec, x + shifts) - vector_field(spec, x - shifts)).T / (2 * h)
+        worst = max(worst, float(np.max(np.abs(jacobian(spec, x) - fd))))
     yield "jacobian vs finite differences", worst, 1e-6, None
 
     r = analysis.rotation_matrix()
@@ -592,9 +589,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-end", dest="t_end", type=float, default=10.0)
     p.add_argument("--x0", default=None, help="k densities (default 0.5 each)")
     p.add_argument("--method", choices=("rk4", "rk45"), default="rk45")
-    p.add_argument("--step", type=float, default=1e-3, help="rk4 step size")
-    p.add_argument("--rtol", type=float, default=1e-8)
-    p.add_argument("--atol", type=float, default=1e-10)
+    defaults = ode.IntegratorSettings()
+    p.add_argument("--step", type=float, default=defaults.step, help="rk4 step size")
+    p.add_argument("--rtol", type=float, default=defaults.rtol)
+    p.add_argument("--atol", type=float, default=defaults.atol)
     p.add_argument("--sample-dt", dest="sample_dt", type=float, default=None)
     _add_output_args(p)
     p.set_defaults(func=cmd_ode)

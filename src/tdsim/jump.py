@@ -111,7 +111,8 @@ def _scalar(spec, n, t, t_end, pairs, record, when):
     # type whose products are due; at first every type's, after type j
     # moved the two that read n[j].
     fresh = [(i, a, h, ku, kd, 2 * i) for i, (a, h, ku, kd) in enumerate(types)]
-    readers = [[fresh[i] for i in sorted({(j + 1) % k, (j - 1) % k})] for j in range(k)]
+    readers = [[fresh[i] for i, (a, h, _, _) in enumerate(types) if j in (a, h)]
+               for j in range(k)]
     for e, u in pairs:
         for i, a, h, ku, kd, c in fresh:
             grow[i] = p = (ku * aup[a]) * hup[h]

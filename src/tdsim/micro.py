@@ -107,41 +107,32 @@ class SpinConfiguration:
         return np.sum(self.spins == 1, axis=1)
 
 
-def _enumeration_refusal(spec: LoopSpec) -> str | None:
-    """The enumeration guard that ``spec`` exceeds, as text, or None.
+def _enumeration_refusal(spec: LoopSpec, limit: int | None = None) -> str | None:
+    """The guard that ``spec`` exceeds, as text, or None: k*N above
+    :data:`ENUMERATION_LIMIT`, then above ``limit`` (the dense generators
+    pass :data:`GENERATOR_LIMIT`), then too many cells.
 
     k*N is tested first, so the cell count is never formed for a large N.
     """
     if spec.k * spec.N > ENUMERATION_LIMIT:
         return f"k*N > {ENUMERATION_LIMIT}"
+    if limit is not None and spec.k * spec.N > limit:
+        return f"k*N > {limit}"
     if spec.k << (spec.k * spec.N) > ENUMERATED_CELLS_LIMIT:
         return f"k*2^(kN) > 2^{ENUMERATED_CELLS_LIMIT.bit_length() - 1}"
     return None
 
 
-def _require_enumerable(spec: LoopSpec):
-    refusal = _enumeration_refusal(spec)
-    if refusal is not None:
+def _require(spec: LoopSpec, limit: int | None = None):
+    """Raise ValueError where :func:`_enumeration_refusal` refuses ``spec``."""
+    refusal = _enumeration_refusal(spec, limit)
+    if refusal is None:
+        return
+    if limit is None:
         raise ValueError(
             f"k = {spec.k}, N = {spec.N} exceeds the enumeration guard ({refusal})"
         )
-
-
-def _generator_refusal(spec: LoopSpec) -> str | None:
-    """The guard on k*N that the dense generators refuse ``spec`` by, as
-    text, or None: the enumeration guard above it, else the generators'."""
-    if spec.k * spec.N <= GENERATOR_LIMIT:
-        return None
-    if spec.k * spec.N > ENUMERATION_LIMIT:
-        return f"k*N > {ENUMERATION_LIMIT}"
-    return f"k*N > {GENERATOR_LIMIT}"
-
-
-def _require_dense_generator(spec: LoopSpec):
-    if _generator_refusal(spec) is not None:
-        raise ValueError(
-            f"k*N = {spec.k * spec.N} exceeds the dense generator guard {GENERATOR_LIMIT}"
-        )
+    raise ValueError(f"k*N = {spec.k * spec.N} exceeds the dense generator guard {limit}")
 
 
 def hamiltonian(config: SpinConfiguration) -> float:
@@ -183,7 +174,7 @@ def gibbs_measure(spec: LoopSpec) -> np.ndarray:
     Configuration c is indexed by its bitmask: bit (i*N + n) set means site
     (i, n) is +1.  Requires k*N <= 20 and k*2^(kN) <= 2^21.
     """
-    _require_enumerable(spec)
+    _require(spec)
     idx = np.arange(1 << (spec.k * spec.N), dtype=np.int64)
     h = _energy(spec, _config_counts(spec, idx))
     w = _exact_exps(np.min(h) - h)[0]
@@ -217,7 +208,7 @@ def generator_matrix(spec: LoopSpec) -> np.ndarray:
     grows as 4^(kN); meant for desk-scale verification, and refused above
     k*N = :data:`GENERATOR_LIMIT`.
     """
-    _require_dense_generator(spec)
+    _require(spec, GENERATOR_LIMIT)
     targets, rates = _flip_table(spec)
     q = np.zeros((len(targets),) * 2)
     q[np.arange(len(targets))[:, None], targets] = rates
@@ -269,7 +260,7 @@ def lumped_density_generator(spec: LoopSpec) -> np.ndarray:
     receives from one configuration are equal, so their order does not
     matter, and both take the diagonal from the same flip rates.
     """
-    _require_dense_generator(spec)
+    _require(spec, GENERATOR_LIMIT)
     N = spec.N
     k = spec.k
     targets, rates = _flip_table(spec)
@@ -301,20 +292,21 @@ def reversibility_residual(spec: LoopSpec) -> float:
     Zero would mean detailed balance of the flip dynamics with respect to
     the Gibbs measure; the type-dependent rates generically break it.
     """
-    _require_enumerable(spec)
     mu = gibbs_measure(spec)
     idx, up, down = _site_rates(spec)
     worst = 0.0
     for i in range(spec.k):
-        for pos in range(spec.N):
-            bit = 1 << (i * spec.N + pos)
-            minus = idx[(idx & bit) == 0]
-            plus = minus ^ bit
-            # Flipping -1 -> +1 does not change neighbour counts, so the
-            # reverse rate is the down rate at the same exponent.
-            forward = mu[minus] * up[minus, i]
-            backward = mu[plus] * down[minus, i]
-            worst = max(worst, float(np.max(np.abs(forward - backward))))
+        # Rates read counts only, so every -1 site of type i gives the same
+        # forward and backward terms; the lowest one stands for them all.
+        free = ~idx & (((1 << spec.N) - 1) << (i * spec.N))
+        minus = np.flatnonzero(free)  # idx is the identity
+        free = free[minus]
+        plus = minus | (free & -free)
+        # Flipping -1 -> +1 does not change neighbour counts, so the
+        # reverse rate is the down rate at the same exponent.
+        forward = mu[minus] * up[minus, i]
+        backward = mu[plus] * down[minus, i]
+        worst = max(worst, float(np.max(np.abs(forward - backward))))
     return worst
 
 

@@ -230,15 +230,11 @@ def _exact_exps(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     :func:`jacobian`, the micro rates).  ``math.exp`` is called once per
     distinct value, so every bit is that of :func:`field_closure` and none
     follows numpy's exp kernel (which differs by an ulp on some inputs);
-    where it overflows, the values are recomputed degrading to inf."""
+    where it overflows, the value degrades to inf."""
     values, where = np.unique(x, return_inverse=True)
     values = values.tolist()
-    try:
-        grow = [math.exp(v) for v in values]
-        shrink = [math.exp(-v) for v in values]
-    except OverflowError:
-        grow = [_inf_exp(v) for v in values]
-        shrink = [_inf_exp(-v) for v in values]
+    grow = [_inf_exp(v) for v in values]
+    shrink = [_inf_exp(-v) for v in values]
     where = where.reshape(x.shape)
     return np.take(np.array(grow), where), np.take(np.array(shrink), where)
 

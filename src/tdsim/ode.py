@@ -6,7 +6,8 @@ together with the field values there, so trajectories support cubic-Hermite
 dense output (used for the limit cycle's section crossings and orbit extrema
 in ``analysis``, and for fine reference sampling).  Every path ends at
 ``t_end``: RK4 takes the span left as its last step once that span is at
-most 1.0001 steps.
+most 1.0001 steps, RK45 sets t to ``t_end`` on accepting a step clamped to
+the span left, and a resampled grid drops a sample within 1e-4 steps of it.
 
 The integrators step on Python floats because numpy's per-call overhead
 dominates on states of a few components; the field takes and returns
@@ -189,7 +190,8 @@ def _rk45_loop(f, y0, t_end, rtol, atol, stats):
                 continue
             err = max(ratios)
             if err <= 1.0:
-                t = t + h
+                # t + (t_end - t) may round off t_end; a clamped step ends there.
+                t = t_end if h == t_end - t else t + h
                 y = y_new
                 k1 = k7  # first-same-as-last
                 ts.append(t)
@@ -268,7 +270,7 @@ def _rk45_loop_3(f, y0, t_end, rtol, atol, stats):
                 continue
             err = max(ra, rb, rc)
             if err <= 1.0:
-                t = t + h
+                t = t_end if h == t_end - t else t + h
                 ya, yb, yc = na, nb, nc
                 k1a, k1b, k1c = k7a, k7b, k7c
                 ts.append(t)
@@ -305,9 +307,10 @@ def _integrate_field(f, y0, t_end, settings, meta):
     meta.update(steps_accepted=len(ts) - 1, **stats)
     traj = Trajectory(ts, ys, kind="deterministic", meta=meta, derivs=fs)
     if settings.sample_dt is not None and t_end > 0:
+        # A sample within 1e-4 sample_dt below t_end would repeat the last row.
         grid = np.arange(0.0, t_end, settings.sample_dt)
-        if grid[-1] < t_end:
-            grid = np.append(grid, t_end)
+        cut = np.searchsorted(grid, t_end - 1e-4 * settings.sample_dt)
+        grid = np.append(grid[:max(cut, 1)], t_end)
         traj = Trajectory(grid, traj.hermite_at(grid), kind="deterministic", meta=meta)
     return traj
 

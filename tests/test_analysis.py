@@ -145,6 +145,10 @@ class TestClassify:
         assert classify(2.0, 0.0).classification == "degenerate"
         assert classify(2.5, 0.5).classification == "degenerate"
 
+    def test_rejects_nan_coupling(self):
+        with pytest.raises(ValueError, match="J must be finite"):
+            classify(float("nan"), 0.0)
+
     def test_delta_flip_preserves_tag(self):
         for J in (-1.4, 0.5, 2.3):
             for delta in (0.0, 0.2, 0.4):

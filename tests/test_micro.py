@@ -100,6 +100,23 @@ def dense_residual(spec):
     return float(np.max(np.abs(flux - flux.T)))
 
 
+def reference_residual(spec):
+    """The residual with one pass per site: every -1 site of every
+    configuration flipped up, each against its own reverse flip."""
+    mu = gibbs_measure(spec)
+    idx, up, down = micro._site_rates(spec)
+    worst = 0.0
+    for i in range(spec.k):
+        for pos in range(spec.N):
+            bit = 1 << (i * spec.N + pos)
+            minus = idx[(idx & bit) == 0]
+            plus = minus ^ bit
+            forward = mu[minus] * up[minus, i]
+            backward = mu[plus] * down[minus, i]
+            worst = max(worst, float(np.max(np.abs(forward - backward))))
+    return worst
+
+
 def same_bits(a, b):
     """Bitwise equality without copying the arrays into bytes."""
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
@@ -342,6 +359,16 @@ class TestReversibility:
         for _ in range(3):
             spec = random_spec(rng, k, N)
             assert reversibility_residual(spec) == dense_residual(spec)
+
+    # Every N up to the enumeration guard: k*N <= 20 and k*2^(kN) <= 2^21.
+    @pytest.mark.parametrize("k, N", [(2, N) for N in range(1, 11)]
+                             + [(3, N) for N in range(1, 7)] + [(4, N) for N in range(1, 5)])
+    def test_bitwise_equal_to_per_site_reference(self, k, N):
+        rng = np.random.default_rng(4000 * k + N)
+        spec = LoopSpec(J=float(rng.uniform(-2, 3)), delta=float(rng.uniform(0, 1)),
+                        kappa=tuple(rng.uniform(-1, 1, k)), N=N, k=k)
+        got = np.array([reversibility_residual(spec)])
+        assert same_bits(got, np.array([reference_residual(spec)]))
 
     def test_invariant_under_cycle_rotation(self):
         kappa = (0.3, -0.2, 0.1)

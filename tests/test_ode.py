@@ -185,6 +185,17 @@ class TestIntegrate:
         assert traj.meta["steps_accepted"] == steps
 
 
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_rk45_path_ends_at_t_end(self, k):
+        # From a fixed point each step grows fivefold, so the last step is
+        # clamped to the span left, and t + (t_end - t) rounds an ulp past
+        # t_end at 43 of these and an ulp short of it at the last.
+        spec = LoopSpec.with_half_j(J=1.0, delta=0.3, N=10, k=k)
+        for t_end in [i / 10 for i in range(1, 1000)] + [0.12463621427003145]:
+            traj = integrate(spec, np.full(k, 0.5), t_end)
+            assert traj.times[-1] == t_end
+
+
 class TestResampledPath:
     """A ``sample_dt`` path is the node path's Hermite output, with no field
     evaluations of its own."""
@@ -211,6 +222,16 @@ class TestResampledPath:
         traj = integrate(self.spec, self.x0, 5.0, self.sampled)
         assert traj.meta["f_evals"] == nodes.meta["f_evals"] == calls[0]
         assert len(traj) == 5001
+
+    def test_last_row_is_t_end_once(self):
+        # 30 * 0.03 rounds to 0.8999999999999999, one ulp below t_end.
+        traj = integrate(self.spec, self.x0, 0.9, IntegratorSettings(sample_dt=0.03))
+        assert traj.times[-2:].tolist() == [0.87, 0.9]
+        assert len(traj) == 31
+
+    def test_horizon_below_the_cut_keeps_the_start(self):
+        traj = integrate(self.spec, self.x0, 1e-6, IntegratorSettings(sample_dt=0.1))
+        assert traj.times.tolist() == [0.0, 1e-6]
 
     def test_states_are_the_node_paths_hermite_output(self):
         nodes = integrate(self.spec, self.x0, 5.0, self.settings)
