@@ -442,9 +442,7 @@ def _start_counts(spec, x0, t_end):
     _check_rates(spec)
     if not math.isfinite(t_end) or t_end < 0:
         raise ValueError(f"t_end must be finite and non-negative, got {t_end!r}")
-    if not isinstance(x0, DensityState):
-        x0 = DensityState(tuple(x0), grid=spec.N)
-    if x0.grid != spec.N or len(x0.x) != spec.k:
+    if not isinstance(x0, DensityState) or x0.grid != spec.N or len(x0.x) != spec.k:
         raise ValueError("x0 must live on the 1/N grid of the given spec")
     return list(x0.counts)
 

@@ -104,16 +104,14 @@ class LoopSpec:
 
 @dataclass(frozen=True)
 class DensityState:
-    """Vector of per-type activation densities.
+    """Vector of per-type activation densities on the 1/N grid, N = ``grid``.
 
-    ``grid`` is the reservoir size N such that every density is a multiple
-    of 1/N, or None for continuum states (ODE use).  A density v is on the
-    grid when ``c / N == v`` for a count c, which holds exactly up to
-    N = 2^53, or when ``v * N`` lies within 1e-9 of a count.
+    A density v is on the grid when ``c / N == v`` for a count c, which holds
+    exactly up to N = 2^53, or when ``v * N`` lies within 1e-9 of a count.
     """
 
     x: tuple[float, ...]
-    grid: int | None = None
+    grid: int
 
     def __post_init__(self):
         x = tuple(float(v) for v in np.atleast_1d(self.x))
@@ -121,12 +119,11 @@ class DensityState:
             raise ValueError("densities must be finite")
         if any(v < 0.0 or v > 1.0 for v in x):
             raise ValueError(f"densities must lie in [0, 1], got {x}")
-        if self.grid is not None:
-            if not isinstance(self.grid, int) or self.grid < 1:
-                raise ValueError(f"grid must be a positive integer, got {self.grid!r}")
-            for v in x:
-                if _grid_count(v, self.grid) is None:
-                    raise ValueError(f"density {v} is not a multiple of 1/{self.grid}")
+        if not isinstance(self.grid, int) or self.grid < 1:
+            raise ValueError(f"grid must be a positive integer, got {self.grid!r}")
+        for v in x:
+            if _grid_count(v, self.grid) is None:
+                raise ValueError(f"density {v} is not a multiple of 1/{self.grid}")
         object.__setattr__(self, "x", x)
 
     @classmethod
@@ -140,8 +137,6 @@ class DensityState:
 
     @property
     def counts(self) -> tuple[int, ...]:
-        if self.grid is None:
-            raise ValueError("continuum state has no counts")
         return tuple(_grid_count(v, self.grid) for v in self.x)
 
     def as_array(self) -> np.ndarray:

@@ -5,9 +5,10 @@ adaptive embedded Dormand-Prince 5(4) pair.  Both record the accepted nodes
 together with the field values there, so trajectories support cubic-Hermite
 dense output (used for the limit cycle's section crossings and orbit extrema
 in ``analysis``, and for fine reference sampling).  Every path ends at
-``t_end``: RK4 takes the span left as its last step once that span is at
-most 1.0001 steps, RK45 sets t to ``t_end`` on accepting a step clamped to
-the span left, and a resampled grid drops a sample within 1e-4 steps of it.
+``t_end``, for every ``t_end >= 0``: RK4 takes the span left as its last step
+once that span is at most 1.0001 steps, RK45 clamps its step to the span left
+after the underflow check and sets t to ``t_end`` on accepting the clamped
+step, and a resampled grid drops a sample within 1e-4 steps of it.
 
 The integrators step on Python floats because numpy's per-call overhead
 dominates on states of a few components; the field takes and returns
@@ -148,7 +149,7 @@ def _rk45_loop(f, y0, t_end, rtol, atol, stats):
     fs = array("d", k1)
     t = 0.0
     y = y0
-    h = min(1e-2, t_end) if t_end > 0 else 0.0
+    h = 1e-2
     rejected = 0
     e1, e3, e4, e5, e6, e7 = (
         _DP_ERR[0], _DP_ERR[2], _DP_ERR[3], _DP_ERR[4], _DP_ERR[5], _DP_ERR[6],
@@ -156,10 +157,10 @@ def _rk45_loop(f, y0, t_end, rtol, atol, stats):
     # Trial steps may blow up; they are rejected below, so silence the
     # overflow/invalid warnings instead of spamming callers.
     with np.errstate(over="ignore", invalid="ignore"):
-        while t < t_end - 1e-15:
-            h = min(h, t_end - t)
+        while t < t_end:
             if h < _MIN_STEP * max(1.0, abs(t)):
                 raise StepSizeUnderflow(t)
+            h = min(h, t_end - t)
             k2 = f([a + h * (0.2 * b1) for a, b1 in zip(y, k1)])
             k3 = f([a + h * (0.075 * b1 + 0.225 * b2) for a, b1, b2 in zip(y, k1, k2)])
             k4 = f([a + h * ((44 / 45) * b1 - (56 / 15) * b2 + (32 / 9) * b3)
@@ -220,7 +221,7 @@ def _rk45_loop_3(f, y0, t_end, rtol, atol, stats):
     t = 0.0
     ya, yb, yc = y0
     k1a, k1b, k1c = k1
-    h = min(1e-2, t_end) if t_end > 0 else 0.0
+    h = 1e-2
     rejected = 0
     isfinite = math.isfinite
     a41, a42, a43 = 44 / 45, 56 / 15, 32 / 9
@@ -231,10 +232,10 @@ def _rk45_loop_3(f, y0, t_end, rtol, atol, stats):
         _DP_ERR[0], _DP_ERR[2], _DP_ERR[3], _DP_ERR[4], _DP_ERR[5], _DP_ERR[6],
     )
     with np.errstate(over="ignore", invalid="ignore"):
-        while t < t_end - 1e-15:
-            h = min(h, t_end - t)
+        while t < t_end:
             if h < _MIN_STEP * max(1.0, abs(t)):
                 raise StepSizeUnderflow(t)
+            h = min(h, t_end - t)
             k2a, k2b, k2c = f((ya + h * (0.2 * k1a), yb + h * (0.2 * k1b),
                                yc + h * (0.2 * k1c)))
             k3a, k3b, k3c = f((ya + h * (0.075 * k1a + 0.225 * k2a),

@@ -1,5 +1,6 @@
 """Command-line interface: outputs, determinism, exit codes, round trips."""
 import json
+import math
 import os
 import subprocess
 import sys
@@ -266,6 +267,21 @@ class TestSimulate:
         config, _, _ = read_dataset(str(out))
         assert config["seed"] == 42
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--N", "50", "--t-end", "0.5"],
+        ["converge", "--N", "50", "--replicas", "2", "--t-end", "0.5"],
+    ])
+    def test_generated_seed_reruns_byte_identical(self, argv, tmp_path, capsys):
+        first, again = tmp_path / "first.csv", tmp_path / "again.csv"
+        assert run(argv + ["--out", str(first)]) == 0
+        line = capsys.readouterr().err.strip()
+        assert line.startswith("seed = ")
+        seed = line.removeprefix("seed = ")
+        assert f"# seed = {seed}\n" in first.read_text()
+        assert run(argv + ["--seed", seed, "--out", str(again)]) == 0
+        assert capsys.readouterr().err == ""
+        assert again.read_bytes() == first.read_bytes()
+
     def test_oscillation_at_strong_inhibition(self, tmp_path):
         out = tmp_path / "osc.csv"
         code = run(
@@ -319,6 +335,33 @@ class TestOde:
         out = tmp_path / "never.csv"
         assert run(["ode", "--x0", "0.5,0.5", "--out", str(out)]) == 2
         assert not out.exists()
+
+
+class TestShortSpan:
+    # A span under 16 machine epsilons is one RK45 step, clamped to t_end.
+    def test_ode_ends_at_t_end(self, tmp_path):
+        out = tmp_path / "ode.csv"
+        assert run(["ode", "--t-end", "2e-15", "--out", str(out)]) == 0
+        _, _, rows = read_dataset(str(out))
+        assert [row[0] for row in rows] == [0.0, 2e-15]
+
+    def test_converge_reference_ends_at_t_end(self, tmp_path, monkeypatch):
+        integrate, ends = ode.integrate, []
+
+        def spy(*args, **kwargs):
+            traj = integrate(*args, **kwargs)
+            ends.append(traj.times[-1])
+            return traj
+
+        monkeypatch.setattr(ode, "integrate", spy)
+        out = tmp_path / "conv.csv"
+        assert run(["converge", "--N", "50", "--t-end", "2e-15", "--replicas", "2",
+                    "--seed", "1", "--out", str(out)]) == 0
+        assert ends == [2e-15]
+        config, _, rows = read_dataset(str(out))
+        assert config["t_end"] == 2e-15
+        assert [row[0] for row in rows] == [50]
+        assert all(math.isfinite(v) for v in rows[0][1:])
 
 
 class TestDefaultX0:
@@ -566,6 +609,17 @@ class TestConfigErrors:
             (["simulate", "--seed", "1", "--N", str(2**53 + 1), "--t-end", "2e-14"], None, "N"),
             (["converge", "--seed", "1", "--N", "50", "--N", str(2**53 + 1), "--t-end", "1"],
              None, "N"),
+            (["bifurcate", "--grid", "1:2"], None, "grid"),
+            (["bifurcate", "--grid", "a:1:0.1"], None, "grid"),
+            (["bifurcate", "--grid", "0:1:0"], None, "grid"),
+            (["bifurcate", "--grid", "1,x"], None, "grid"),
+            (["bifurcate", "--grid", ","], None, "grid"),
+            (["ode", "--x0", "0.5,abc,0.5"], None, "x0"),
+            (["ode", "--x0", "1.5,0.5,0.5"], None, "x0"),
+            (["ode", "--x0", "nan,0.5,0.5"], None, "x0"),
+            (["ode", "--kappa", "0.1,x"], None, "kappa"),
+            (["bifurcate", "--grid", "1", "--delta", "1.5"], None, "delta"),
+            (["bifurcate", "--grid", "1", "--delta", "nan"], None, "delta"),
         ],
     )
     def test_exits_2_naming_the_field(self, argv, env, field, tmp_path, monkeypatch, capsys):

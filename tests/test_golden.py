@@ -111,6 +111,11 @@ CASES = {
 }
 
 
+def test_every_golden_file_has_a_case():
+    # An orphaned golden would go unchecked wherever only CASES is compared.
+    assert set(CASES) == {path.name for path in GOLDEN.iterdir()}
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_dataset_matches_golden(name, tmp_path, capsys):
     out = tmp_path / name

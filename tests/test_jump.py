@@ -574,6 +574,20 @@ class TestSsaSimulate:
             with pytest.raises(ValueError):
                 sample(spec, DensityState.from_counts((5, 5, 5), 20), 1.0, seed=0)
 
+    def test_raw_start_refused_before_any_variate(self, monkeypatch):
+        def never(seed):
+            raise AssertionError("a variate stream was opened")
+
+        monkeypatch.setattr(jump, "_stream", never)
+        spec = LoopSpec.with_half_j(J=1.0, delta=0.5, N=10)
+        x0 = (0.5, 0.5, 0.5)
+        ref = Trajectory(np.array([0.0, 1.0]), np.array([x0, x0]), kind="deterministic")
+        for run in (lambda: jump.Records(spec, x0, 1.0, seed=1),
+                    lambda: ssa_simulate(spec, x0, 1.0, seed=1),
+                    lambda: ssa_sup_distance(spec, x0, ref, 1.0, seed=1)):
+            with pytest.raises(ValueError, match="^x0 must live on the 1/N grid"):
+                run()
+
     def test_rates_that_could_overflow_are_refused(self):
         # 6 N e^698 passes the largest double at N = 1e6.  An infinite
         # total would put every event at t = 0 on the last channel.

@@ -111,8 +111,10 @@ class TestLoopSpec:
         DensityState((0.25, 0.5, 0.75), grid=4)
         with pytest.raises(ValueError):
             DensityState((0.3, 0.5, 0.75), grid=4)
-        with pytest.raises(ValueError):
-            DensityState((1.2, 0.5, 0.5))
+        with pytest.raises(ValueError, match=r"densities must lie in \[0, 1\]"):
+            DensityState((1.2, 0.5, 0.5), grid=5)
+        with pytest.raises(TypeError):
+            DensityState((0.25, 0.5, 0.75))
 
 
 class TestDensityStateGrid:

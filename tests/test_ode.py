@@ -27,6 +27,17 @@ class TestIntegrate:
                 traj = integrate(spec, np.full(3, 0.5), 3.0, settings)
                 assert np.abs(traj.states - 0.5).max() < 1e-8
 
+    @pytest.mark.parametrize("t_end", [1e-300, 1e-16, 5e-16, 2e-15, 3e-15])
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_short_span_is_one_step_to_t_end(self, k, t_end):
+        # k = 3 takes the unrolled loop, k = 4 the generic one.  The step is
+        # clamped to the span after the underflow check, so no span is too
+        # short to take.
+        spec = LoopSpec(J=1.2, delta=0.4, kappa=(0.6,) * k, N=10, k=k)
+        traj = integrate(spec, np.full(k, 0.3), t_end)
+        assert traj.times.tolist() == [0.0, t_end]
+        assert traj.meta["f_evals"] == 7
+
     def test_zero_coupling_closed_form(self):
         # J = 0, kappa = 0 decouples into dx/dt = 1 - 2x with solution
         # 1/2 + (x0 - 1/2) e^{-2t}.
@@ -301,7 +312,7 @@ class TestUnrolledRk45:
     def test_short_horizons(self, t_end):
         spec = LoopSpec.with_half_j(J=2.5, delta=0.1, N=10)
         ref, _ = assert_same_as_generic_loop(field_closure(spec), [0.9, 0.1, 0.5], t_end)
-        assert len(ref[0]) == (2 if t_end > 1e-15 else 1)
+        assert len(ref[0]) == (2 if t_end > 0 else 1)
 
     @pytest.mark.parametrize("field, y0, error", [
         (lambda y: (350.0 * np.asarray(y)).tolist(), [1.0, -1.0, 0.5], StepSizeUnderflow),
